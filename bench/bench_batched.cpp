@@ -89,18 +89,13 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSequentialWork = 4000000ULL;
 
   std::printf("{\n  \"bench\": \"bench_batched\",\n  \"protocol\": \"epidemic\",\n");
-  // Header records the machine's thread budget, the process-wide executor's
-  // effective width (POPS_THREADS / Executor::set_threads), and the epoch
-  // shard ceiling (POPS_EPOCH_SHARDS — a different ceiling samples a
-  // different exact decomposition, so per-seed comparisons need equal
-  // values) — so perf diffs across PRs compare like with like
-  // (scripts/bench_regen.sh commits this output; scripts/bench_diff.py keys
-  // on it).
-  std::printf("  \"hardware_concurrency\": %u,\n  \"executor_threads\": %u,\n"
-              "  \"epoch_shards\": %u,\n",
+  // Header records the machine's thread budget and the process-wide
+  // executor's effective width (POPS_THREADS / Executor::set_threads), so
+  // perf diffs across PRs compare like with like (scripts/bench_regen.sh
+  // commits this output; scripts/bench_diff.py keys on it).
+  std::printf("  \"hardware_concurrency\": %u,\n  \"executor_threads\": %u,\n",
               std::max(1u, std::thread::hardware_concurrency()),
-              pops::Executor::instance().threads(),
-              pops::BatchedCountSimulation::max_epoch_shards());
+              pops::Executor::instance().threads());
   std::printf("  \"results\": [\n");
   for (std::uint64_t n = 10000; n <= max_n; n *= 10) {
     if (n <= kAgentSimMaxN) {
@@ -124,20 +119,6 @@ int main(int argc, char** argv) {
           std::max(kSequentialWork, 8 * n);
       const double secs = run_count_workload(sim, n, work);
       emit({"batched", n, work, secs});
-      // Serial-epoch column: on a wide executor, repeat the same workload
-      // with the pool pinned to one thread, so the serial-vs-parallel epoch
-      // cost is visible side by side.  (The epidemic's two-class epochs take
-      // the dense pairing path, so this column mostly bounds the sharding
-      // overhead; the compiled many-state sweeps carry the speedup claim.)
-      const unsigned width = pops::Executor::instance().threads();
-      if (width > 1) {
-        pops::Executor::set_threads(1);
-        pops::BatchedCountSimulation serial_sim(pops::epidemic_spec(), 23);
-        reset_epidemic(serial_sim, n);
-        const double serial_secs = run_count_workload(serial_sim, n, work);
-        emit({"batched_width1", n, work, serial_secs});
-        pops::Executor::set_threads(width);
-      }
     }
   }
   std::printf("\n  ]\n}\n");

@@ -88,30 +88,6 @@ void print_scaling(pops::BatchedCountSimulation& sim, std::uint64_t max_n,
                 "\"parallel_time\": %.6g, \"%s\": %" PRIu64,
                 first_point ? "" : ",\n", n, work, secs,
                 static_cast<double>(work) / secs, sim.time(), obs_name, obs);
-    // Serial-epoch column: on a wide executor, re-run the identical point
-    // with the pool pinned to one thread.  The (seed, epoch, shard)
-    // substream contract makes the two runs bit-identical — asserted here,
-    // on every sweep point, not just in the test suite — so the pair of
-    // columns is a pure scheduling comparison and their ratio is the
-    // single-run parallel-epoch speedup on this machine.
-    const unsigned width = pops::Executor::instance().threads();
-    if (width > 1) {
-      const auto parallel_counts = sim.counts();
-      pops::Executor::set_threads(1);
-      sim.reset(0xBEEF ^ n);
-      seed(sim, n);
-      const auto t1 = std::chrono::steady_clock::now();
-      sim.steps(work);
-      const double serial_secs = seconds_since(t1);
-      pops::Executor::set_threads(width);
-      if (sim.counts() != parallel_counts) {
-        std::fprintf(stderr, "FATAL: epochs not executor-width invariant at n=%" PRIu64 "\n",
-                     n);
-        std::exit(1);
-      }
-      std::printf(", \"seconds_width1\": %.4f, \"epoch_speedup\": %.2f",
-                  serial_secs, secs > 0.0 ? serial_secs / secs : 1.0);
-    }
     std::printf("}");
     first_point = false;
     std::fflush(stdout);
@@ -277,10 +253,9 @@ int main(int argc, char** argv) {
 
   std::printf("{\n  \"bench\": \"bench_compiled_scaling\",\n"
               "  \"hardware_concurrency\": %u,\n  \"executor_threads\": %u,\n"
-              "  \"epoch_shards\": %u,\n  \"configs\": [\n",
+              "  \"configs\": [\n",
               std::max(1u, std::thread::hardware_concurrency()),
-              pops::Executor::instance().threads(),
-              pops::BatchedCountSimulation::max_epoch_shards());
+              pops::Executor::instance().threads());
 
   {
     const auto proto = pops::log_size_tiny();

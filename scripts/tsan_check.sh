@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# ThreadSanitizer check for the sharded JIT, the parallel eager closure and
-# the process-wide work-stealing executor: configure a TSan build tree
+# ThreadSanitizer check for the sharded JIT, the parallel eager closure,
+# parallel trials (test_parallel_epochs runs batched trials nested in the
+# pool) and the process-wide work-stealing executor: configure a TSan build tree
 # (CMAKE_BUILD_TYPE=TSan, see CMakeLists.txt), build the
 # concurrency-sensitive test binaries, and run them under the race
 # detector.  Registered as the tier-2 ctest target `tsan_concurrency` and
@@ -23,9 +24,10 @@ cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}"
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 for t in "${TARGETS[@]}"; do
   if [[ "$t" == test_parallel_epochs ]]; then
-    # The epoch-invariance tests assert per-seed bit-identical output while
-    # sweeping the executor width internally; run them under each default
-    # width too, so the pool the other fixtures inherit is also exercised.
+    # The width-invariance tests assert per-seed bit-identical batched runs
+    # while sweeping the executor width internally; run them under each
+    # default width too, so the pool the other fixtures inherit is also
+    # exercised.
     for w in 1 2 8; do
       echo "== tsan: $t (POPS_THREADS=$w)"
       POPS_THREADS=$w "$BUILD_DIR/$t"

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -52,6 +53,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -85,6 +89,25 @@ class Executor {
   /// running workers are joined and the pool restarts lazily at the new
   /// width.  All clients observe the change on their next fan-out.
   static void set_threads(unsigned n) { instance().set_threads_impl(n); }
+
+  /// Largest width POPS_THREADS may request.
+  static constexpr unsigned kMaxThreads = 1024;
+
+  /// Parse a POPS_THREADS value: the whole string must be a decimal integer
+  /// in [1, kMaxThreads].  Anything else ("8x", "abc", "0", "-3", a huge
+  /// count) throws std::invalid_argument naming the variable, rather than
+  /// silently running at some other width.
+  static unsigned parse_threads(std::string_view text) {
+    unsigned n = 0;
+    const auto [end, err] = std::from_chars(text.data(), text.data() + text.size(), n);
+    if (err != std::errc() || end != text.data() + text.size() || n < 1 ||
+        n > kMaxThreads) {
+      throw std::invalid_argument("POPS_THREADS must be an integer in [1, " +
+                                  std::to_string(kMaxThreads) + "], got '" +
+                                  std::string(text) + "'");
+    }
+    return n;
+  }
 
   /// True on a pool worker thread (not on external threads, even while
   /// they help-run tasks inside TaskGroup::wait()).
@@ -302,10 +325,7 @@ class Executor {
   Executor() : threads_(default_threads()) {}
 
   static unsigned default_threads() {
-    if (const char* env = std::getenv("POPS_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) return static_cast<unsigned>(n);
-    }
+    if (const char* env = std::getenv("POPS_THREADS")) return parse_threads(env);
     return std::max(1u, std::thread::hardware_concurrency());
   }
 

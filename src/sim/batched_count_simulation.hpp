@@ -28,28 +28,13 @@
 //      are known as a multiset), its partner uniform among touched/untouched
 //      pools with the exact conditional weights.
 //
-// Parallel epochs: each epoch's heavy stages shard across the process-wide
-// work-stealing executor (core/executor.hpp) —
-//   * the fused joint draw splits into per-state-class blocks: a short
-//     block-level hypergeometric chain (grouping classes is exact), then
-//     each block's per-class counts and receiver split resolve on an
-//     independent substream;
-//   * the serial Fisher–Yates sender shuffle becomes a MergeShuffle-style
-//     block shuffle (stats/blocked.hpp): `split_multiset` deals the sender
-//     multiset into per-group slot quotas (the exact compositions a uniform
-//     global shuffle would produce), and each group fills + shuffles +
-//     consumes its own slot range;
-//   * transition outputs accumulate into per-shard delta vectors, merged
-//     into the configuration in shard order at the end of the stage.
-// Determinism is the design center: every epoch draws from counter-based
-// RNG substreams keyed (seed, epoch, stream) — sim/rng.hpp
-// `substream_seed` — and the shard decomposition depends only on the
-// epoch's workload (batch length, occupancy, POPS_EPOCH_SHARDS), never on
-// the executor width.  A run is therefore per-seed bit-invariant at every
-// width — the same contract ProtocolCompiler honors — verified at widths
-// 1/2/8 under TSan by tests/test_parallel_epochs.cpp.  Nested inside
-// parallel trials, shard tasks ride the same executor (help-first
-// TaskGroup::wait), so trials × epochs never oversubscribe the machine.
+// Epochs are serial: every stage is a chain of exact draws on the calling
+// thread, drawing from counter-based RNG substreams keyed (seed, epoch,
+// stream) — sim/rng.hpp `substream_seed` — so a run is per-seed
+// reproducible and never touches the executor.  An epoch of Θ(√n)
+// interactions over a few hundred occupied classes is too small to split
+// across threads profitably; parallelism comes from fanning trials out
+// (harness/trials.hpp).
 //
 // Every per-epoch structure is sparse in the *occupied* state classes — a
 // persistent occupied-class list (compacted once per epoch) drives the
@@ -70,13 +55,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/executor.hpp"
 #include "sim/dispatch.hpp"
 #include "sim/finite_spec.hpp"
 #include "sim/require.hpp"
@@ -110,28 +93,6 @@ class BatchedCountSimulation {
   // spec_/dispatch_ point into own storage in eager mode; copies would dangle.
   BatchedCountSimulation(const BatchedCountSimulation&) = delete;
   BatchedCountSimulation& operator=(const BatchedCountSimulation&) = delete;
-
-  /// Epoch shard ceiling: the most blocks/groups any per-epoch stage
-  /// decomposes into.  Shards are *logical* — the count per stage depends
-  /// only on the epoch's workload (batch length, occupancy), never on the
-  /// executor width, so the substream layout (and therefore every sampled
-  /// bit) is identical at any thread count; the executor merely decides how
-  /// many shards run concurrently.  POPS_EPOCH_SHARDS overrides the default
-  /// of 32 (clamped to [1, 63] so the per-epoch stream-index ranges stay
-  /// disjoint).  Changing it selects a different — still exact — epoch
-  /// decomposition, so runs are per-seed comparable only at equal shard
-  /// ceilings; bench headers record it ("epoch_shards") next to
-  /// executor_threads for that reason.
-  static std::uint32_t max_epoch_shards() {
-    static const std::uint32_t cached = [] {
-      if (const char* env = std::getenv("POPS_EPOCH_SHARDS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0) return static_cast<std::uint32_t>(std::min<long>(v, 63));
-      }
-      return std::uint32_t{32};
-    }();
-    return cached;
-  }
 
   /// Reset to an empty configuration with a fresh seed, reusing the compiled
   /// dispatch table.  For multi-trial experiments on compiled specs the
@@ -213,76 +174,13 @@ class BatchedCountSimulation {
 
  private:
   // --------------------------------------------------- epoch substreams ----
-  // Per-epoch stream-index layout (SubstreamSeeder keyed (seed, epoch, i));
-  // the ranges are disjoint for any shard ceiling <= 63:
-  //   0          — root: collision search, block-level chains, dense
-  //                pairing, collision resolution
-  //   [1, 64)    — joint-draw class blocks
-  //   [64, 192)  — split_multiset recursion-tree nodes (heap order)
-  //   [256, ...) — pairing groups (fill + shuffle + transition binomials)
+  // Per-epoch stream indices (SubstreamSeeder keyed (seed, epoch, i)):
+  //   0   — root: collision search, dense pairing, collision resolution
+  //   1   — fused joint draw and receiver split
+  //   256 — shuffle pairing (sender shuffle + transition binomials)
   static constexpr std::uint64_t kStreamRoot = 0;
-  static constexpr std::uint64_t kStreamJointBase = 1;
-  static constexpr std::uint64_t kStreamSplitBase = 64;
-  static constexpr std::uint64_t kStreamGroupBase = 256;
-  /// Minimum pairing-slot mass per shard: below this, task overhead beats
-  /// the work, so small batches stay single-group (and width cannot matter).
-  static constexpr std::uint64_t kMinShardSlots = 8192;
-  /// Minimum occupied classes per joint-draw block, for the same reason
-  /// (one hypergeometric draw per class is the unit of work there).
-  static constexpr std::uint32_t kMinShardClasses = 256;
-
-  /// Per-shard scratch: transition-output deltas (merged into the
-  /// configuration in shard order — determinism needs no atomics), plus the
-  /// pairing cell accumulator and the joint-draw block's drawn-id list.
-  struct ShardScratch {
-    std::vector<std::uint64_t> delta;
-    std::vector<std::uint32_t> delta_ids;  ///< touch order
-    std::vector<std::uint64_t> cell_accum;
-    std::vector<std::uint32_t> cell_touched;
-    std::vector<std::uint32_t> joint_ids;
-
-    /// Shard-local touch: grows only this shard's delta vector when a JIT
-    /// compile on another shard interned states mid-epoch (the shared
-    /// scratch must not resize while shards run — sync happens at the next
-    /// serial point).
-    void touch(std::uint32_t state, std::uint64_t d) {
-      if (d == 0) return;
-      if (state >= delta.size()) [[unlikely]] delta.resize(state + 1, 0);
-      if (delta[state] == 0) delta_ids.push_back(state);
-      delta[state] += d;
-    }
-  };
-
-  /// Run fn(0) .. fn(blocks-1), over the executor when it has width (the
-  /// calling thread helps; nested under a trial task this reuses the same
-  /// pool).  Results must not depend on execution order — every shard draws
-  /// from its own substream and writes only shard-local state.
-  template <typename Fn>
-  static void for_shards(std::size_t blocks, Fn&& fn) {
-    if (blocks <= 1 || Executor::instance().threads() <= 1) {
-      for (std::size_t b = 0; b < blocks; ++b) fn(b);
-      return;
-    }
-    Executor::parallel_chunks(
-        0, blocks, 1, [&fn](std::uint64_t, std::uint64_t lo, std::uint64_t) { fn(lo); });
-  }
-
-  /// split_multiset invoker: resolve sibling subtrees concurrently (each
-  /// node owns a substream, so order cannot affect the output bits).
-  struct ParallelInvoke {
-    template <typename A, typename B>
-    void operator()(A&& a, B&& b) const {
-      if (Executor::instance().threads() <= 1) {
-        a();
-        b();
-        return;
-      }
-      Executor::TaskGroup group;
-      group.run([&a] { a(); });
-      b();
-      group.wait();
-    }
-  };
+  static constexpr std::uint64_t kStreamJoint = 1;
+  static constexpr std::uint64_t kStreamShuffle = 256;
 
   // ------------------------------------------------------------ epochs ----
 
@@ -369,7 +267,7 @@ class BatchedCountSimulation {
   /// 2t touched agents) for collision resolution; otherwise it is merged.
   void run_batch(std::uint64_t t, bool keep_split, const SubstreamSeeder& seeder,
                  Rng& root) {
-    draw_joint(t, seeder, root);
+    draw_joint(t, seeder);
     // Pair receivers with senders: a uniform bipartite matching.  Two
     // equivalent samplers with opposite cost profiles:
     //   * dense — a sequentially-sampled contingency table, one
@@ -382,8 +280,7 @@ class BatchedCountSimulation {
     //     matching.  O(t) with tiny constants; wins when the occupied grid
     //     is not tiny relative to the batch — a slot write costs ~1/8 of a
     //     rejection draw, so the dense scan only wins when occ_r · occ_s ≪ t
-    //     (few huge classes at n ≳ 10¹¹).  Sharded across the executor: see
-    //     pair_shuffle.
+    //     (few huge classes at n ≳ 10¹¹).
     // The shuffle buffer is capped so sub-√n epochs never allocate
     // unboundedly at n = 10¹²⁺; past the cap the dense scan takes over.
     std::uint64_t occ_r = 0, occ_s = 0;
@@ -416,100 +313,29 @@ class BatchedCountSimulation {
   /// full-configuration passes collapse into one, and the occupied-class
   /// list persists across epochs — only compaction of classes that emptied
   /// touches it.
-  ///
-  /// Blocked for the executor: the occupied list splits into equal-class
-  /// blocks (per-class cost is ~one hypergeometric draw, so class count is
-  /// the balance metric); a block-level chain on the root stream fixes each
-  /// block's joint and receiver totals — grouping classes in a multivariate
-  /// hypergeometric is exact — and each block then resolves its per-class
-  /// chain on its own substream, in any order, on any thread.
-  void draw_joint(std::uint64_t t, const SubstreamSeeder& seeder, Rng& root) {
+  void draw_joint(std::uint64_t t, const SubstreamSeeder& seeder) {
     compact_occupied();
-    const auto occ = static_cast<std::uint32_t>(occupied_.size());
-    const std::uint32_t blocks = std::max<std::uint32_t>(
-        1, std::min<std::uint32_t>(max_epoch_shards(), occ / kMinShardClasses));
     joint_ids_.clear();
-    if (blocks == 1) {
-      Rng rng = seeder.stream(kStreamJointBase);
-      resolve_joint_block(0, occ, total_, 2 * t, t, rng, joint_ids_);
-      return;
-    }
-    ensure_shards(blocks);
-    block_bounds_.clear();
-    for (std::uint32_t b = 0; b <= blocks; ++b) {
-      block_bounds_.push_back(
-          static_cast<std::uint32_t>(static_cast<std::uint64_t>(occ) * b / blocks));
-    }
-    block_mass_.assign(blocks, 0);
-    block_joint_.assign(blocks, 0);
-    block_recv_.assign(blocks, 0);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      for (std::uint32_t k = block_bounds_[b]; k < block_bounds_[b + 1]; ++k) {
-        block_mass_[b] += counts_[occupied_[k]];
-      }
-    }
+    Rng rng = seeder.stream(kStreamJoint);
     std::uint64_t remaining_total = total_;
     std::uint64_t remaining = 2 * t;
-    for (std::uint32_t b = 0; b < blocks && remaining > 0; ++b) {
-      const std::uint64_t k = hypergeometric(root, remaining_total, block_mass_[b], remaining);
-      block_joint_[b] = k;
-      remaining -= k;
-      remaining_total -= block_mass_[b];
-    }
-    std::uint64_t pool = 2 * t;
-    std::uint64_t need = t;
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const std::uint64_t r =
-          need == 0 ? 0 : hypergeometric(root, pool, block_joint_[b], need);
-      block_recv_[b] = r;
-      pool -= block_joint_[b];
-      need -= r;
-    }
-    for_shards(blocks, [&](std::size_t b) {
-      Rng rng = seeder.stream(kStreamJointBase + b);
-      shards_[b].joint_ids.clear();
-      resolve_joint_block(block_bounds_[b], block_bounds_[b + 1], block_mass_[b],
-                          block_joint_[b], block_recv_[b], rng, shards_[b].joint_ids);
-    });
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      joint_ids_.insert(joint_ids_.end(), shards_[b].joint_ids.begin(),
-                        shards_[b].joint_ids.end());
-      shards_[b].joint_ids.clear();
-    }
-  }
-
-  /// Resolve one class block of the fused joint draw: chain the per-class
-  /// joint counts over the block's slice of the occupied list, then chain
-  /// the per-class receiver split over the block's drawn agents.  Appends
-  /// the block's drawn class ids to `ids` (occupied-list order, so the
-  /// blockwise concatenation matches the single-block order exactly).
-  void resolve_joint_block(std::uint32_t lo, std::uint32_t hi, std::uint64_t block_mass,
-                           std::uint64_t block_joint, std::uint64_t block_recv,
-                           Rng& rng, std::vector<std::uint32_t>& ids) {
-    std::uint64_t remaining_total = block_mass;
-    std::uint64_t remaining = block_joint;
-    const std::size_t first = ids.size();
-    for (std::uint32_t k = lo; k < hi; ++k) {
+    for (const std::uint32_t i : occupied_) {
       if (remaining == 0) break;
-      const std::uint32_t i = occupied_[k];
       const std::uint64_t c = counts_[i];
-      if (c == 0) continue;
       const std::uint64_t d = hypergeometric(rng, remaining_total, c, remaining);
       remaining_total -= c;
       if (d != 0) {
         joint_[i] = d;
-        ids.push_back(i);
+        joint_ids_.push_back(i);
         counts_[i] = c - d;
         remaining -= d;
       }
     }
     POPS_REQUIRE(remaining == 0, "batch draw exceeded population");
-    // Split: this block's receivers are a uniform block_recv-subset of its
-    // block_joint drawn agents.
-    std::uint64_t pool = block_joint;
-    std::uint64_t need = block_recv;
-    for (std::size_t k = first; k < ids.size(); ++k) {
-      const std::uint32_t i = ids[k];
+    // Split: the receivers are a uniform t-subset of the 2t drawn agents.
+    std::uint64_t pool = 2 * t;
+    std::uint64_t need = t;
+    for (const std::uint32_t i : joint_ids_) {
       const std::uint64_t r = need == 0 ? 0 : hypergeometric(rng, pool, joint_[i], need);
       recv_[i] = r;
       send_[i] = joint_[i] - r;
@@ -533,10 +359,9 @@ class BatchedCountSimulation {
     occupied_.resize(w);
   }
 
-  /// Dense contingency-table pairing: hypergeometric share per cell.
-  /// Serial on the root stream — it runs precisely when the occupied grid
-  /// is tiny relative to the batch, where per-epoch cost is O(occ²), not
-  /// O(t), and sharding would cost more than it saves.
+  /// Dense contingency-table pairing: hypergeometric share per cell, on the
+  /// root stream.  It runs precisely when the occupied grid is tiny relative
+  /// to the batch, where per-epoch cost is O(occ²), not O(t).
   void pair_dense(std::uint64_t t, Rng& rng) {
     std::uint64_t send_total = t;
     for (const std::uint32_t i : joint_ids_) {
@@ -553,85 +378,54 @@ class BatchedCountSimulation {
           send_[j] -= d;
           need -= d;
           send_total -= d;
-          apply_cell_main(i, j, d, rng);
+          apply_cell(i, j, d, rng);
         }
       }
     }
   }
 
-  /// Shuffle pairing, sharded: receiver classes group into contiguous runs
-  /// of ~equal slot mass; `split_multiset` deals the sender multiset into
-  /// per-group quotas (exactly the compositions a uniform global shuffle
-  /// gives those slot ranges); each group then fills + Fisher–Yates
-  /// shuffles its own slot range and consumes it — accumulating per-cell
-  /// counts so randomized cells still split in bulk — into its shard-local
-  /// delta, all on the group's substream.  Group deltas merge in group
-  /// order, so the epoch's output is identical whether groups ran on one
-  /// thread or eight.
+  /// Shuffle pairing: fill the slot buffer with a uniform shuffle of the
+  /// sender multiset, then let each receiver class consume its slots in
+  /// order — accumulating per-cell counts so randomized cells still split in
+  /// bulk — all on the shuffle stream.
   void pair_shuffle(std::uint64_t t, const SubstreamSeeder& seeder) {
-    recv_weights_.clear();
-    for (const std::uint32_t i : joint_ids_) recv_weights_.push_back(recv_[i]);
-    group_bounds_ = plan_blocks(recv_weights_, t, max_epoch_shards(), kMinShardSlots);
-    const std::size_t groups = group_bounds_.size() - 1;
-    ensure_shards(groups);
     sender_ms_.ids = joint_ids_;
     sender_ms_.counts.clear();
     for (const std::uint32_t i : joint_ids_) sender_ms_.counts.push_back(send_[i]);
-    part_sizes_.assign(groups, 0);
-    for (std::size_t g = 0; g < groups; ++g) {
-      for (std::uint32_t k = group_bounds_[g]; k < group_bounds_[g + 1]; ++k) {
-        part_sizes_[g] += recv_weights_[k];
-      }
-    }
-    split_multiset(seeder, kStreamSplitBase, sender_ms_, part_sizes_, parts_,
-                   ParallelInvoke{});
     if (sender_slots_.size() < t) sender_slots_.resize(t);
-    group_offsets_.assign(groups + 1, 0);
-    for (std::size_t g = 0; g < groups; ++g) {
-      group_offsets_[g + 1] = group_offsets_[g] + part_sizes_[g];
-    }
-    for_shards(groups, [&](std::size_t g) {
-      ShardScratch& sh = shards_[g];
-      Rng rng = seeder.stream(kStreamGroupBase + g);
-      block_shuffle_fill(rng, parts_[g], sender_slots_.data() + group_offsets_[g],
-                         part_sizes_[g]);
-      std::uint64_t pos = group_offsets_[g];
-      for (std::uint32_t k = group_bounds_[g]; k < group_bounds_[g + 1]; ++k) {
-        const std::uint32_t i = joint_ids_[k];
-        std::uint64_t need = recv_[i];
-        if (need == 0) continue;
-        sh.cell_touched.clear();
-        while (need-- > 0) {
-          const std::uint32_t j = sender_slots_[pos++];
-          if (sh.cell_accum[j]++ == 0) sh.cell_touched.push_back(j);
-        }
-        for (const std::uint32_t j : sh.cell_touched) {
-          apply_cell_shard(i, j, sh.cell_accum[j], rng, sh);
-          sh.cell_accum[j] = 0;
-        }
+    Rng rng = seeder.stream(kStreamShuffle);
+    block_shuffle_fill(rng, sender_ms_, sender_slots_.data(), t);
+    std::uint64_t pos = 0;
+    for (const std::uint32_t i : joint_ids_) {
+      std::uint64_t need = recv_[i];
+      if (need == 0) continue;
+      cell_touched_.clear();
+      while (need-- > 0) {
+        const std::uint32_t j = sender_slots_[pos++];
+        if (cell_accum_[j]++ == 0) cell_touched_.push_back(j);
       }
-    });
-    merge_shard_deltas(groups);
+      for (const std::uint32_t j : cell_touched_) {
+        apply_cell(i, j, cell_accum_[j], rng);
+        cell_accum_[j] = 0;
+      }
+    }
   }
 
-  /// Apply `d` simultaneous interactions with input pair (i, j), appending
-  /// the output states to `sink`.  Randomized cells split `d` across their
-  /// transitions (plus the residual null) by binomial draws from `rng`.
-  /// `kShardContext` selects the lookup that never resizes shared scratch.
-  template <bool kShardContext, typename Sink>
-  void apply_cell(std::uint32_t i, std::uint32_t j, std::uint64_t d, Rng& rng,
-                  Sink& sink) {
-    const DispatchTable::Cell cell =
-        kShardContext ? lookup_shard(i, j) : lookup(i, j);
+  /// Apply `d` simultaneous interactions with input pair (i, j), adding the
+  /// output states to the touched multiset.  Randomized cells split `d`
+  /// across their transitions (plus the residual null) by binomial draws
+  /// from `rng`.
+  void apply_cell(std::uint32_t i, std::uint32_t j, std::uint64_t d, Rng& rng) {
+    const DispatchTable::Cell cell = lookup(i, j);
     switch (cell.kind) {
       case DispatchTable::CellKind::kNull:
-        sink.touch(i, d);
-        sink.touch(j, d);
+        touch(i, d);
+        touch(j, d);
         return;
       case DispatchTable::CellKind::kDeterministic: {
         const auto& e = *cell.begin;
-        sink.touch(e.out_receiver, d);
-        sink.touch(e.out_sender, d);
+        touch(e.out_receiver, d);
+        touch(e.out_sender, d);
         return;
       }
       case DispatchTable::CellKind::kRandomized: {
@@ -645,33 +439,16 @@ class BatchedCountSimulation {
           const double p =
               clamp_last ? 1.0 : std::min(1.0, std::max(0.0, e->rate / rest));
           const std::uint64_t k = binomial(rng, rem, p);
-          sink.touch(e->out_receiver, k);
-          sink.touch(e->out_sender, k);
+          touch(e->out_receiver, k);
+          touch(e->out_sender, k);
           rem -= k;
           rest -= e->rate;
         }
-        sink.touch(i, rem);  // residual mass: null transitions
-        sink.touch(j, rem);
+        touch(i, rem);  // residual mass: null transitions
+        touch(j, rem);
         return;
       }
     }
-  }
-
-  /// Serial-context sink: routes into the epoch-wide touched multiset
-  /// (which may resize shared scratch via sync_states — serial only).
-  struct MainSink {
-    BatchedCountSimulation* sim;
-    void touch(std::uint32_t state, std::uint64_t d) { sim->touch(state, d); }
-  };
-
-  void apply_cell_main(std::uint32_t i, std::uint32_t j, std::uint64_t d, Rng& rng) {
-    MainSink sink{this};
-    apply_cell<false>(i, j, d, rng, sink);
-  }
-
-  void apply_cell_shard(std::uint32_t i, std::uint32_t j, std::uint64_t d, Rng& rng,
-                        ShardScratch& sh) {
-    apply_cell<true>(i, j, d, rng, sh);
   }
 
   /// Dispatch lookup with the JIT fallback (see CountSimulation::lookup).
@@ -683,20 +460,6 @@ class BatchedCountSimulation {
     if (!cell.present) [[unlikely]] {
       jit_->compile_pair(receiver, sender);
       sync_states();
-      cell = jit_table_->find(receiver, sender);
-    }
-    return cell;
-  }
-
-  /// Shard-context lookup: same JIT fallback, but never resizes the shared
-  /// scratch (other shards may be running) — new states interned by the
-  /// compile land in the shard's delta via ShardScratch::touch's local
-  /// growth, and the shared vectors sync at the next serial point.
-  DispatchTable::Cell lookup_shard(std::uint32_t receiver, std::uint32_t sender) {
-    if (jit_ == nullptr) return dispatch_->find(receiver, sender);
-    DispatchTable::Cell cell = jit_table_->find(receiver, sender);
-    if (!cell.present) [[unlikely]] {
-      jit_->compile_pair(receiver, sender);
       cell = jit_table_->find(receiver, sender);
     }
     return cell;
@@ -725,32 +488,6 @@ class BatchedCountSimulation {
       }
     }
     touched_ids_.clear();
-  }
-
-  /// Fold every shard's delta into the epoch-wide touched multiset, in
-  /// shard order — the serial merge point that makes the parallel stage's
-  /// output order-deterministic.
-  void merge_shard_deltas(std::size_t count) {
-    for (std::size_t b = 0; b < count; ++b) {
-      ShardScratch& sh = shards_[b];
-      for (const std::uint32_t i : sh.delta_ids) {
-        const std::uint64_t v = sh.delta[i];
-        sh.delta[i] = 0;
-        touch(i, v);
-      }
-      sh.delta_ids.clear();
-    }
-  }
-
-  /// Size shard scratch for `count` shards against the current state count
-  /// (serial point; shards never resize these concurrently).
-  void ensure_shards(std::size_t count) {
-    if (shards_.size() < count) shards_.resize(count);
-    const std::uint32_t s = dispatch_num_states();
-    for (std::size_t b = 0; b < count; ++b) {
-      if (shards_[b].delta.size() < s) shards_[b].delta.resize(s, 0);
-      if (shards_[b].cell_accum.size() < s) shards_[b].cell_accum.resize(s, 0);
-    }
   }
 
   // ------------------------------------------------------- collisions ----
@@ -850,6 +587,7 @@ class BatchedCountSimulation {
     recv_.assign(s, 0);
     send_.assign(s, 0);
     joint_.assign(s, 0);
+    cell_accum_.assign(s, 0);
     in_occupied_.assign(s, 0);
     occupied_.reserve(s);
     joint_ids_.reserve(s);
@@ -868,6 +606,7 @@ class BatchedCountSimulation {
     recv_.resize(s, 0);
     send_.resize(s, 0);
     joint_.resize(s, 0);
+    cell_accum_.resize(s, 0);
     in_occupied_.resize(s, 0);
   }
 
@@ -888,18 +627,11 @@ class BatchedCountSimulation {
   std::uint64_t interactions_ = 0;
   // Per-epoch scratch, sparse in the occupied classes (hot path allocates
   // nothing and never walks the full state range).
-  std::vector<std::uint64_t> touched_, recv_, send_, joint_;
+  std::vector<std::uint64_t> touched_, recv_, send_, joint_, cell_accum_;
   std::vector<std::uint8_t> in_occupied_;
-  std::vector<std::uint32_t> occupied_, joint_ids_, touched_ids_;
+  std::vector<std::uint32_t> occupied_, joint_ids_, touched_ids_, cell_touched_;
   std::vector<std::uint32_t> sender_slots_;
-  // Parallel-epoch scratch: per-shard deltas/accumulators plus the blocked
-  // decompositions' plans (reused across epochs; sized to shards in use).
-  std::vector<ShardScratch> shards_;
-  ClassMultiset sender_ms_;
-  std::vector<ClassMultiset> parts_;
-  std::vector<std::uint64_t> part_sizes_, recv_weights_, block_mass_, block_joint_,
-      block_recv_, group_offsets_;
-  std::vector<std::uint32_t> group_bounds_, block_bounds_;
+  ClassMultiset sender_ms_;  ///< pair_shuffle's sender multiset (reused)
 };
 
 }  // namespace pops

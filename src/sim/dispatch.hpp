@@ -5,7 +5,7 @@
 // transitions can fire?" — on the hottest path.  `DispatchTable` compiles the
 // spec into per-receiver *rows* over the S×S input-pair grid instead of the
 // former dense S² offset/kind arrays (which were the memory floor at ~10⁴
-// states and made incremental extension impossible):
+// states):
 //
 //   * sorted row  — column ids in ascending order + parallel cell ids;
 //     lookup is a binary search over the row's occupancy (compiled specs
@@ -26,14 +26,13 @@
 //   * kRandomized    — general case: choose among entries (or the residual
 //     null transition) by cumulative rate.
 //
-// The table also extends *incrementally* (`grow_states` + `set_cell`), and a
-// registered cell — even an explicitly null one — reports `Cell::present`.
-// The lazy/JIT compilation path no longer uses this table: it registers
-// cells into the thread-safe `ConcurrentDispatchTable`
-// (sim/shared_dispatch.hpp), which shares this table's Entry/Cell types so
-// the simulators' dispatch code is layout-agnostic.  This table stays the
-// eager build: single-threaded construction, then read-only (safe to share
-// across simulator threads).
+// A registered cell — even an explicitly null one — reports
+// `Cell::present`.  This table is the eager build: single-threaded
+// construction from a complete spec, then read-only (safe to share across
+// simulator threads).  The lazy/JIT compilation path registers cells into
+// the thread-safe, growable `ConcurrentDispatchTable`
+// (sim/shared_dispatch.hpp) instead, which shares this table's Entry/Cell
+// types so the simulators' dispatch code is layout-agnostic.
 #pragma once
 
 #include <algorithm>
@@ -60,8 +59,7 @@ class DispatchTable {
   enum class RowLayout : std::uint8_t { kAuto, kSorted, kDirect };
 
   /// Resolved view of one (receiver, sender) cell — the hot-path handle
-  /// returned by `find`.  Pointers remain valid until the table is next
-  /// extended (`set_cell`), which only the JIT path does, between lookups.
+  /// returned by `find`.  Pointers remain valid for the table's lifetime.
   struct Cell {
     const Entry* begin = nullptr;
     const Entry* end = nullptr;
@@ -71,12 +69,6 @@ class DispatchTable {
   };
 
   DispatchTable() = default;
-
-  /// Empty table over `num_states` states; cells arrive via `set_cell`.
-  DispatchTable(std::uint32_t num_states, RowLayout layout)
-      : num_states_(num_states), layout_(layout) {
-    rows_.resize(num_states);
-  }
 
   /// Eager build from a complete spec: group the transition list into cells
   /// without ever materializing the S² grid (counting sort by receiver, then
@@ -121,27 +113,6 @@ class DispatchTable {
   std::uint32_t num_states() const { return num_states_; }
   std::size_t num_cells() const { return cells_.size(); }
   std::size_t num_entries() const { return entries_.size(); }
-
-  /// Extend the state space (new states have empty rows until `set_cell`).
-  void grow_states(std::uint32_t num_states) {
-    POPS_REQUIRE(num_states >= num_states_, "dispatch table cannot shrink");
-    num_states_ = num_states;
-    rows_.resize(num_states);
-  }
-
-  /// Register the cell for pair (r, s): `len` entries starting at `cell`
-  /// (len 0 records an explicitly null cell).  Each pair registers once.
-  void set_cell(std::uint32_t r, std::uint32_t s, const Entry* cell, std::uint32_t len) {
-    POPS_REQUIRE(r < num_states_ && s < num_states_, "set_cell state out of range");
-    POPS_REQUIRE(!find(r, s).present, "pair registered twice");
-    const std::uint32_t first = static_cast<std::uint32_t>(entries_.size());
-    double total = 0.0;
-    for (std::uint32_t i = 0; i < len; ++i) {
-      entries_.push_back(cell[i]);
-      total += cell[i].rate;
-    }
-    append_cell(r, s, first, len, total);
-  }
 
   Cell find(std::uint32_t receiver, std::uint32_t sender) const {
     const Row& row = rows_[receiver];
@@ -227,7 +198,6 @@ class DispatchTable {
         row.is_direct = true;
       }
     } else {
-      if (s >= row.direct.size()) row.direct.resize(num_states_, kNoCell);
       row.direct[s] = cell_id;
     }
   }

@@ -59,16 +59,15 @@ inline std::uint64_t mix64(std::uint64_t z) {
 /// (master seed, epoch, stream) — no shared generator state — so any
 /// decomposition of an epoch's random work into independently-seeded streams
 /// is reproducible regardless of which thread executes which stream, or in
-/// what order.  This is the keyed-substream contract the batched simulator's
-/// parallel epochs rely on (one stream per (seed, epoch, shard), plus a root
-/// stream per epoch) and the same idea `trial_seed` applies at trial
-/// granularity: determinism comes from keying streams by *logical* position,
-/// never by execution order.
+/// what order.  The batched simulator keys each epoch stage's stream
+/// (seed, epoch, stage) this way, the same idea `trial_seed` applies at
+/// trial granularity: determinism comes from keying streams by *logical*
+/// position, never by execution order.
 ///
 /// Each key word passes through a full mix64 avalanche round before the next
 /// is folded in (Weyl increments keep distinct (epoch, stream) pairs distinct
 /// even across word boundaries), so related keys — consecutive epochs,
-/// adjacent shards — yield statistically unrelated xoshiro seed expansions.
+/// adjacent streams — yield statistically unrelated xoshiro seed expansions.
 inline std::uint64_t substream_seed(std::uint64_t master, std::uint64_t epoch,
                                     std::uint64_t stream) {
   std::uint64_t z = mix64(master + 0x9e3779b97f4a7c15ULL);

@@ -25,8 +25,8 @@
 //     no entries, 8 bytes total instead of a full Cell record.
 //
 // Entry/cell/row storage is chunked (StableArena / block lists), so every
-// pointer a reader obtains stays valid for the table's lifetime — the
-// eager table's "valid until next set_cell" caveat disappears.
+// pointer a reader obtains stays valid for the table's lifetime, while
+// compiles keep extending it.
 #pragma once
 
 #include <atomic>

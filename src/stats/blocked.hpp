@@ -1,46 +1,25 @@
-// Blocked (shardable) exact samplers for executor-parallel batched epochs.
+// Substream seeding and multiset shuffle primitives for batched epochs.
 //
-// The batched simulator's epoch is a chain of multivariate draws — the joint
-// hypergeometric batch draw, the receiver/sender split, and the sender-slot
-// shuffle that realizes the uniform bipartite matching.  Each chain is
-// sequential as written (every draw conditions on the ones before it), which
-// is why a lone giant-n run used to execute its Θ(√n)-interaction epochs on
-// one thread.  This header factors those chains into *block* decompositions
-// that are distribution-identical to the unblocked draws but expose
-// independent per-block work:
+//   * `SubstreamSeeder` — hands out the counter-based RNG substreams of one
+//     epoch, keyed (seed, epoch, stream index), so every epoch stage draws
+//     from its own reproducible stream.
 //
-//   * blocked multivariate hypergeometric — group the classes into
-//     contiguous blocks, draw the per-block totals by a (short) sequential
-//     hypergeometric chain over block masses, then resolve each block's
-//     per-class counts independently.  Exact by the conditional method: a
-//     multivariate hypergeometric is closed under grouping, and conditioned
-//     on its block total each block is again multivariate hypergeometric.
+//   * `block_shuffle_fill` — expand a class multiset into a slot range and
+//     Fisher–Yates shuffle it: the batched simulator's sender shuffle, which
+//     realizes the uniform bipartite matching of an epoch's receivers and
+//     senders.
 //
-//   * blocked multiset split (`split_multiset`) — deal a class multiset into
-//     parts of prescribed sizes, distribution-identical to uniformly
-//     shuffling the multiset and cutting it into consecutive ranges of those
-//     sizes.  Implemented as a binary recursion of multivariate
-//     hypergeometric splits (each node splits its multiset between the left
-//     and right half of its parts); sibling subtrees consume *different
-//     counter-based substreams* (sim/rng.hpp `substream_seed`), so subtrees
-//     can run on different threads in any order and still produce the exact
-//     sequence a serial traversal produces.
+//   * `split_multiset` — deal a class multiset into parts of prescribed
+//     sizes, distribution-identical to uniformly shuffling the multiset and
+//     cutting it into consecutive ranges of those sizes (a binary recursion
+//     of multivariate hypergeometric splits, one substream per recursion-tree
+//     node).  With `plan_blocks`, which cuts a weight vector into ~equal-mass
+//     contiguous blocks, it is no longer used by the simulator, whose epochs
+//     are serial; the layer probes of the milestone benchmark still replay
+//     it.
 //
-//   * block shuffle (`block_shuffle_fill`) — the MergeShuffle-style parallel
-//     replacement for the serial Fisher–Yates sender shuffle, run in the
-//     *split* direction: the slot range is cut into blocks, `split_multiset`
-//     decides each block's composition (exactly the composition a uniform
-//     global shuffle would put there), and each block is Fisher–Yates
-//     shuffled locally with its own substream.  Uniform within each block ×
-//     exact block compositions = a uniform permutation of the whole multiset,
-//     with every per-block fill+shuffle independent of the others.
-//
-// Determinism contract (shared with the batched simulator and the compiler):
-// every random decision is keyed by *logical* position — (seed, epoch,
-// stream index), block index, tree node index — never by thread identity or
-// execution order, so results are per-seed bit-invariant at every executor
-// width.  The chi-square GOF suite (tests/test_blocked_stats.cpp) certifies
-// that the blocked draws' marginals match the unblocked joint draws.
+// The chi-square GOF suite (tests/test_blocked_stats.cpp) certifies that
+// split-then-fill is distribution-identical to one global shuffle.
 #pragma once
 
 #include <algorithm>
@@ -89,33 +68,19 @@ struct ClassMultiset {
   }
 };
 
-/// Runs the two halves of a split_multiset recursion node one after the
-/// other — the serial reference invoker.  The executor-backed invoker in the
-/// batched simulator runs them concurrently; because every node draws from
-/// its own substream, both invokers produce bit-identical output.
-struct SequentialInvoke {
-  template <typename A, typename B>
-  void operator()(A&& a, B&& b) const {
-    a();
-    b();
-  }
-};
-
 namespace detail {
 
 /// Split one recursion node's multiset among `part_sizes[plo, phi)`, writing
 /// per-part class counts into `out[p]` (ids mirror the parent's ids).  One
 /// tree node = one substream: node ids follow heap order from `node`, so
-/// sibling subtrees never share a stream and may run concurrently (the
-/// invoker decides; correctness does not depend on it).
-template <typename Invoke>
-void split_multiset_node(const SubstreamSeeder& seeder, std::uint64_t stream_base,
-                         std::uint64_t node, const std::vector<std::uint32_t>& ids,
-                         std::vector<std::uint64_t> node_counts,
-                         std::uint64_t node_total,
-                         const std::vector<std::uint64_t>& part_sizes,
-                         std::size_t plo, std::size_t phi,
-                         std::vector<ClassMultiset>& out, const Invoke& invoke) {
+/// sibling subtrees never share a stream.
+inline void split_multiset_node(const SubstreamSeeder& seeder, std::uint64_t stream_base,
+                                std::uint64_t node, const std::vector<std::uint32_t>& ids,
+                                std::vector<std::uint64_t> node_counts,
+                                std::uint64_t node_total,
+                                const std::vector<std::uint64_t>& part_sizes,
+                                std::size_t plo, std::size_t phi,
+                                std::vector<ClassMultiset>& out) {
   if (phi - plo == 1) {
     out[plo].ids = ids;
     out[plo].counts = std::move(node_counts);
@@ -140,16 +105,10 @@ void split_multiset_node(const SubstreamSeeder& seeder, std::uint64_t stream_bas
     remaining_total -= c;
   }
   POPS_REQUIRE(need == 0, "split_multiset: part sizes exceed multiset total");
-  invoke(
-      [&] {
-        split_multiset_node(seeder, stream_base, 2 * node, ids, std::move(left),
-                            left_total, part_sizes, plo, pmid, out, invoke);
-      },
-      [&] {
-        split_multiset_node(seeder, stream_base, 2 * node + 1, ids,
-                            std::move(node_counts), node_total - left_total,
-                            part_sizes, pmid, phi, out, invoke);
-      });
+  split_multiset_node(seeder, stream_base, 2 * node, ids, std::move(left), left_total,
+                      part_sizes, plo, pmid, out);
+  split_multiset_node(seeder, stream_base, 2 * node + 1, ids, std::move(node_counts),
+                      node_total - left_total, part_sizes, pmid, phi, out);
 }
 
 }  // namespace detail
@@ -160,26 +119,21 @@ void split_multiset_node(const SubstreamSeeder& seeder, std::uint64_t stream_bas
 /// ranges of the given sizes (only the per-part *compositions* are produced;
 /// compose with a per-part shuffle for the full permutation).  Σ part_sizes
 /// must equal the multiset total.  Streams [stream_base, stream_base +
-/// 2·parts) are consumed, keyed by recursion-tree node — bit-reproducible
-/// regardless of traversal order or thread placement.
-template <typename Invoke = SequentialInvoke>
+/// 2·parts) are consumed, keyed by recursion-tree node.
 inline void split_multiset(const SubstreamSeeder& seeder, std::uint64_t stream_base,
                            const ClassMultiset& multiset,
                            const std::vector<std::uint64_t>& part_sizes,
-                           std::vector<ClassMultiset>& out,
-                           const Invoke& invoke = Invoke{}) {
+                           std::vector<ClassMultiset>& out) {
   POPS_REQUIRE(!part_sizes.empty(), "split_multiset: need at least one part");
   out.assign(part_sizes.size(), {});
   detail::split_multiset_node(seeder, stream_base, /*node=*/1, multiset.ids,
                               multiset.counts, multiset.total(), part_sizes,
-                              0, part_sizes.size(), out, invoke);
+                              0, part_sizes.size(), out);
 }
 
 /// Contiguous ~equal-mass partition of `weights` into at most `max_blocks`
 /// blocks of at least `min_mass` each (the last block absorbs the
 /// remainder).  Returns block boundaries b_0 = 0 < b_1 < ... < b_k = size.
-/// Deterministic in the weights alone — never in the executor width — which
-/// is what keeps blocked draws width-invariant.
 inline std::vector<std::uint32_t> plan_blocks(const std::vector<std::uint64_t>& weights,
                                               std::uint64_t total,
                                               std::uint32_t max_blocks,
@@ -206,62 +160,12 @@ inline std::vector<std::uint32_t> plan_blocks(const std::vector<std::uint64_t>& 
   return bounds;
 }
 
-/// Blocked multivariate hypergeometric: partition `draws` items sampled
-/// without replacement across the classes of `counts` — the same
-/// distribution as `multivariate_hypergeometric` (stats/discrete.hpp), but
-/// decomposed into a block-level chain (root stream `stream_base`) plus one
-/// independent per-block chain (stream `stream_base + 1 + b`), so the
-/// per-block resolutions can run on different threads.  `run_blocks`
-/// receives (num_blocks, fn) and must invoke fn(b) exactly once for every
-/// block in any order (e.g. via Executor::parallel_chunks, or a plain loop).
-template <typename RunBlocks>
-inline void blocked_multivariate_hypergeometric(
-    const SubstreamSeeder& seeder, std::uint64_t stream_base,
-    const std::vector<std::uint64_t>& counts, std::uint64_t draws,
-    std::vector<std::uint64_t>& out, std::uint32_t max_blocks,
-    std::uint64_t min_mass, RunBlocks&& run_blocks) {
-  out.assign(counts.size(), 0);
-  std::uint64_t total = 0;
-  for (const auto c : counts) total += c;
-  POPS_REQUIRE(draws <= total, "blocked multivariate hypergeometric: draws > total");
-  const auto bounds = plan_blocks(counts, total, max_blocks, min_mass);
-  const std::size_t blocks = bounds.size() - 1;
-  // Block-level chain: how many of the `draws` land in each class block.
-  std::vector<std::uint64_t> block_mass(blocks, 0), block_draws(blocks, 0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    for (std::uint32_t i = bounds[b]; i < bounds[b + 1]; ++i) block_mass[b] += counts[i];
-  }
-  Rng root = seeder.stream(stream_base);
-  std::uint64_t remaining_total = total, remaining = draws;
-  for (std::size_t b = 0; b < blocks && remaining > 0; ++b) {
-    if (block_mass[b] == 0) continue;
-    const std::uint64_t k = hypergeometric(root, remaining_total, block_mass[b], remaining);
-    block_draws[b] = k;
-    remaining -= k;
-    remaining_total -= block_mass[b];
-  }
-  // Per-block chains: independent streams, any order, any thread.
-  run_blocks(blocks, [&](std::size_t b) {
-    std::uint64_t block_remaining = block_draws[b];
-    if (block_remaining == 0) return;
-    Rng rng = seeder.stream(stream_base + 1 + b);
-    std::uint64_t block_total = block_mass[b];
-    for (std::uint32_t i = bounds[b]; i < bounds[b + 1] && block_remaining > 0; ++i) {
-      if (counts[i] == 0) continue;
-      const std::uint64_t k = hypergeometric(rng, block_total, counts[i], block_remaining);
-      out[i] = k;
-      block_remaining -= k;
-      block_total -= counts[i];
-    }
-  });
-}
-
 /// Fill `slots[0, len)` with a uniform shuffle of `part` (a class multiset
 /// with total == len) from one substream: sequential expansion then an
-/// in-range Fisher–Yates.  The caller decides the block decomposition (via
-/// `split_multiset`) and runs one call per block — exact block compositions
-/// × uniform within-block permutations = a uniform permutation of the whole
-/// multiset, i.e. the MergeShuffle-style parallel block shuffle.
+/// in-range Fisher–Yates.  The batched simulator calls it once over the
+/// whole sender multiset.  Called once per part of a `split_multiset`
+/// dealing, it also yields a uniform permutation of the whole multiset
+/// (exact part compositions × uniform within-part permutations).
 inline void block_shuffle_fill(Rng& rng, const ClassMultiset& part,
                                std::uint32_t* slots, std::uint64_t len) {
   std::uint64_t w = 0;

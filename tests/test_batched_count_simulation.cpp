@@ -7,11 +7,18 @@
 // protocol — the count-level core of the uniform-majority construction; the
 // full Composed<MajorityStage> protocol is agent-level and cannot run on a
 // configuration vector.)
+//
+// Per-seed golden runs pin the exact output of both pairing paths, so a
+// refactor of the epoch pipeline that changes a single sampled bit fails
+// here even when it stays distribution-exact.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <string>
 
+#include "compile/headline.hpp"
+#include "compile/lazy.hpp"
 #include "harness/trials.hpp"
 #include "proto/epidemic.hpp"
 #include "proto/semilinear.hpp"
@@ -185,6 +192,50 @@ TEST(BatchedEquivalence, TinyPopulationDistribution) {
   EXPECT_TRUE(verdict.accept())
       << "chi-square " << verdict.statistic << " at df " << verdict.df
       << " (critical " << chi_square_critical(verdict.df) << ")";
+}
+
+// ----------------------------------------------------------- golden runs ----
+
+TEST(BatchedGolden, DensePathEpidemicCountsArePinned) {
+  // Two occupied classes at n = 10⁹: every epoch pairs by the dense
+  // contingency scan on the root stream.
+  BatchedCountSimulation sim(epidemic_spec(), 0x601DE9);
+  sim.set_count("S", 900'000'000);
+  sim.set_count("I", 100'000'000);
+  sim.steps(3'000'000);
+  EXPECT_EQ(sim.count("S"), 899'458'812u);
+  EXPECT_EQ(sim.count("I"), 100'541'188u);
+}
+
+TEST(BatchedGolden, ShufflePathJitCountsArePinned) {
+  // Lazy log-size estimation at n = 2·10⁶: after the first few epochs the
+  // occupied grid is large relative to the batch, so pairing takes the
+  // shuffle path, and pairs compile on first contact.  State ids depend on
+  // interning order, so the configuration is pinned by name, through an
+  // FNV-1a digest of "name=count;" over the occupied states in name order.
+  const auto proto = log_size_tiny();
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
+  BatchedCountSimulation sim(lazy, 0x601DEA);
+  Rng seeder(11);
+  lazy.seed_initial(sim, 2'000'000, seeder);
+  sim.advance_time(10.0);
+  std::map<std::string, std::uint64_t> by_name;
+  const auto counts = sim.counts();
+  for (std::uint32_t id = 0; id < counts.size(); ++id) {
+    if (counts[id] != 0) by_name[lazy.spec().name(id)] = counts[id];
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  auto mix = [&digest](const std::string& text) {
+    for (const unsigned char c : text) {
+      digest ^= c;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [name, c] : by_name) mix(name + "=" + std::to_string(c) + ";");
+  EXPECT_EQ(sim.interactions(), 20'000'000u);
+  EXPECT_EQ(by_name.size(), 131u);
+  EXPECT_EQ(by_name["A|l3|t0|e1|g1|s0|---|o0"], 539u);
+  EXPECT_EQ(digest, 0x3f8cede5659624caULL);
 }
 
 }  // namespace

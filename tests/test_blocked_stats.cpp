@@ -1,16 +1,11 @@
-// Chi-square GOF suite for the blocked exact samplers (stats/blocked.hpp):
-// the sharded decompositions must be distribution-identical to the unsharded
-// draws they replace in the batched simulator's parallel epochs.
+// Chi-square GOF suite for the multiset primitives (stats/blocked.hpp):
 //
-//   * blocked multivariate hypergeometric — per-class marginals vs the
-//     sequential `multivariate_hypergeometric` chain (two-sample tests,
-//     blocking forced by a tiny min_mass);
+//   * plan_blocks — boundaries partition the weights and respect the caps;
 //   * split_multiset — per-(part, class) counts vs the
 //     shuffle-the-expansion-and-cut reference it claims to equal;
 //   * block shuffle (split + per-part fill/shuffle) — the class landing in a
 //     fixed global slot vs a global Fisher–Yates of the same multiset;
-//   * order independence — reversing the recursion invoker must not change a
-//     single output bit (the property that lets shards run on any thread).
+//   * block_shuffle_fill — the fill preserves the multiset exactly.
 //
 // All seeds fixed; alpha = 0.001 per test via chi_square_critical.
 #include <gtest/gtest.h>
@@ -23,22 +18,11 @@
 #include "sim/rng.hpp"
 #include "stats/blocked.hpp"
 #include "stats/chi_square.hpp"
-#include "stats/discrete.hpp"
 
 namespace pops {
 namespace {
 
 using Histogram = std::map<std::uint64_t, std::uint64_t>;
-
-/// Runs the split_multiset recursion with the sibling subtrees in reversed
-/// order — the serial witness of the thread-placement-independence claim.
-struct ReversedInvoke {
-  template <typename A, typename B>
-  void operator()(A&& a, B&& b) const {
-    b();
-    a();
-  }
-};
 
 /// Serial reference for the claims below: expand the multiset, Fisher–Yates
 /// shuffle the expansion, and (optionally) cut it into consecutive parts.
@@ -65,40 +49,6 @@ TEST(PlanBlocks, BoundsPartitionAndRespectCaps) {
   EXPECT_EQ(plan_blocks(weights, 70, 4, 100).size(), 2u);
   // Empty weights still produce a valid (degenerate) partition.
   EXPECT_EQ(plan_blocks({}, 0, 4, 10), (std::vector<std::uint32_t>{0, 0}));
-}
-
-TEST(BlockedHypergeometric, MarginalsMatchSequentialChain) {
-  const std::vector<std::uint64_t> counts{50, 200, 10, 1000, 5, 300, 77, 123};
-  const std::uint64_t draws = 500;
-  const int kTrials = 3000;
-  std::vector<Histogram> blocked_hist(counts.size()), serial_hist(counts.size());
-  Rng serial_rng(0xB10C);
-  std::vector<std::uint64_t> out;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    // min_mass = 64 forces several blocks; a serial run_blocks loop is fine —
-    // the draw's distribution cannot depend on who executes the blocks.
-    SubstreamSeeder seeder(0xABCD, static_cast<std::uint64_t>(trial));
-    blocked_multivariate_hypergeometric(
-        seeder, /*stream_base=*/0, counts, draws, out, /*max_blocks=*/8,
-        /*min_mass=*/64, [](std::size_t blocks, auto&& fn) {
-          for (std::size_t b = 0; b < blocks; ++b) fn(b);
-        });
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      ++blocked_hist[i][out[i]];
-      sum += out[i];
-      ASSERT_LE(out[i], counts[i]);
-    }
-    ASSERT_EQ(sum, draws);
-    multivariate_hypergeometric(serial_rng, counts, draws, out);
-    for (std::size_t i = 0; i < counts.size(); ++i) ++serial_hist[i][out[i]];
-  }
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const auto verdict = two_sample_chi_square(blocked_hist[i], serial_hist[i]);
-    EXPECT_TRUE(verdict.accept())
-        << "class " << i << " statistic " << verdict.statistic << " df "
-        << verdict.df;
-  }
 }
 
 TEST(SplitMultiset, PartTotalsAndClassSumsAreExact) {
@@ -162,28 +112,8 @@ TEST(SplitMultiset, PartCompositionsMatchShuffleAndCut) {
   }
 }
 
-TEST(SplitMultiset, InvokerOrderCannotChangeOutput) {
-  // Because every tree node owns a substream, reversing the traversal must
-  // not change a single output bit.
-  const ClassMultiset ms{{4, 8, 15, 16, 23, 42}, {100, 3, 57, 9, 71, 60}};
-  const std::vector<std::uint64_t> part_sizes{60, 60, 60, 60, 60};
-  std::vector<ClassMultiset> forward, reversed;
-  for (int trial = 0; trial < 50; ++trial) {
-    SubstreamSeeder seeder(0x0DD, static_cast<std::uint64_t>(trial));
-    split_multiset(seeder, /*stream_base=*/0, ms, part_sizes, forward,
-                   SequentialInvoke{});
-    split_multiset(seeder, /*stream_base=*/0, ms, part_sizes, reversed,
-                   ReversedInvoke{});
-    ASSERT_EQ(forward.size(), reversed.size());
-    for (std::size_t p = 0; p < forward.size(); ++p) {
-      ASSERT_EQ(forward[p].ids, reversed[p].ids) << "part " << p;
-      ASSERT_EQ(forward[p].counts, reversed[p].counts) << "part " << p;
-    }
-  }
-}
-
 TEST(BlockShuffle, FixedSlotMarginalsMatchGlobalShuffle) {
-  // The full parallel pipeline — split_multiset into per-part quotas, then
+  // The split-then-fill pipeline — split_multiset into per-part quotas, then
   // block_shuffle_fill per part — versus one global Fisher–Yates shuffle:
   // the class occupying any fixed global slot must be identically
   // distributed.  Probe slots in different parts, including part edges.

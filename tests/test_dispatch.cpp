@@ -1,7 +1,7 @@
 // Tests for the sparse dispatch table (sim/dispatch.hpp): cell
 // classification, the pick() residual clamp, sorted-vs-direct row layout
 // equivalence (including bit-identical simulator trajectories), and the
-// incremental extension path the JIT compiler drives.
+// sorted-to-direct row upgrade under load.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -183,52 +183,25 @@ TEST(DispatchTable, CompiledHeadlineTrajectoriesAreBitIdentical) {
                                                  200000, 6);
 }
 
-// --------------------------------------------------- incremental extension --
-
-TEST(DispatchTable, ExtendsIncrementally) {
-  DispatchTable table(2, Layout::kAuto);
-  EXPECT_FALSE(table.find(0, 1).present);
-
-  const DispatchTable::Entry entry{1, 1, 1.0};
-  table.set_cell(0, 1, &entry, 1);
-  EXPECT_TRUE(table.find(0, 1).present);
-  EXPECT_EQ(table.find(0, 1).kind, Kind::kDeterministic);
-  EXPECT_FALSE(table.find(1, 0).present);
-
-  // An explicitly null registration is present but fires nothing.
-  table.set_cell(1, 0, nullptr, 0);
-  EXPECT_TRUE(table.find(1, 0).present);
-  EXPECT_EQ(table.find(1, 0).kind, Kind::kNull);
-
-  // Growth: new states have empty rows; old cells survive.
-  table.grow_states(5);
-  EXPECT_EQ(table.num_states(), 5u);
-  EXPECT_TRUE(table.find(0, 1).present);
-  EXPECT_FALSE(table.find(4, 4).present);
-  const DispatchTable::Entry wide{4, 0, 0.5};
-  table.set_cell(4, 4, &wide, 1);
-  EXPECT_EQ(table.find(4, 4).kind, Kind::kRandomized);
-  EXPECT_EQ(table.num_cells(), 3u);
-
-  EXPECT_THROW(table.set_cell(0, 1, &entry, 1), std::invalid_argument);  // re-registration
-  EXPECT_THROW(table.set_cell(7, 0, &entry, 1), std::invalid_argument);  // out of range
-}
+// ------------------------------------------------------------ row upgrade --
 
 TEST(DispatchTable, SortedRowUpgradesToDirectUnderLoad) {
   // 512 states keeps kAuto rows sorted until a row's occupancy crosses
   // S / 8 = 64; filling one row past that exercises the upgrade path.
   const std::uint32_t s = 512;
-  DispatchTable table(s, Layout::kAuto);
-  for (std::uint32_t j = 0; j < 100; ++j) {
-    const DispatchTable::Entry e{j, 0, 1.0};
-    table.set_cell(3, (j * 37) % s, &e, 1);  // scattered, unsorted insertion order
-  }
+  FiniteSpec spec;
+  for (std::uint32_t i = 0; i < s; ++i) spec.add_unnamed_state();
+  for (std::uint32_t j = 0; j < 100; ++j) spec.add(3, (j * 37) % s, j, 0);
+  const DispatchTable table(spec, Layout::kAuto);
   for (std::uint32_t j = 0; j < 100; ++j) {
     const Cell c = table.find(3, (j * 37) % s);
     ASSERT_TRUE(c.present);
+    ASSERT_EQ(c.kind, Kind::kDeterministic);
     ASSERT_EQ(c.begin->out_receiver, j);
   }
   EXPECT_FALSE(table.find(3, 1).present);  // 1 is not a multiple of 37 mod 512
+  EXPECT_FALSE(table.find(4, 0).present);  // other rows stay empty
+  EXPECT_EQ(table.num_cells(), 100u);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 //     per-seed invariant at widths 1, 2 and 8 (the contract that lets
 //     set_threads change wall-clock, never output);
 //   * exception propagation — a throwing trial/task surfaces at wait()
-//     exactly once, after every sibling finished.
+//     exactly once, after every sibling finished;
+//   * POPS_THREADS parsing — malformed or out-of-range values throw instead
+//     of silently picking some other width (checked on strings only, so no
+//     pool ever starts at an extreme width).
 //
 // Also runs under the TSan preset (scripts/tsan_check.sh), which is what
 // exercises the Chase–Lev deques and the help-while-waiting protocol under
@@ -223,6 +226,24 @@ TEST(Executor, TrialExceptionPropagatesFromTheHarness) {
                                      return static_cast<int>(i);
                                    }),
                std::runtime_error);
+}
+
+TEST(Executor, ParsesWellFormedThreadCounts) {
+  EXPECT_EQ(Executor::parse_threads("1"), 1u);
+  EXPECT_EQ(Executor::parse_threads("8"), 8u);
+  EXPECT_EQ(Executor::parse_threads("1024"), Executor::kMaxThreads);
+}
+
+TEST(Executor, RejectsMalformedThreadCounts) {
+  for (const char* bad : {"", "8x", "x8", " 8", "8 ", "+8", "abc", "0", "-3", "1025",
+                          "99999999999999999999"}) {
+    try {
+      Executor::parse_threads(bad);
+      ADD_FAILURE() << "accepted POPS_THREADS='" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("POPS_THREADS"), std::string::npos) << e.what();
+    }
+  }
 }
 
 }  // namespace
