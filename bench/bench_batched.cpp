@@ -8,8 +8,9 @@
 // with n — Θ(√n) interactions per epoch — which is what makes the paper's
 // n = 10^8–10^12 parallel-time experiments reachable.
 //
-// Output is machine-readable JSON (one result object per simulator × n) for
-// BENCH_*.json perf-trajectory tracking:
+// Output is machine-readable JSON (one result object per simulator × n;
+// batched rows carry a `stats` object — epochs and which batch sampler each
+// took) for BENCH_*.json perf-trajectory tracking:
 //   ./bench_batched [--max-n=N] > BENCH_batched.json
 #include <chrono>
 #include <cinttypes>
@@ -62,6 +63,7 @@ struct Result {
   std::uint64_t n;
   std::uint64_t interactions;
   double seconds;
+  const pops::BatchedCountSimulation::Stats* stats = nullptr;  ///< batched only
 };
 
 bool first_result = true;
@@ -69,9 +71,15 @@ bool first_result = true;
 void emit(const Result& r) {
   std::printf("%s    {\"simulator\": \"%s\", \"n\": %" PRIu64
               ", \"interactions\": %" PRIu64
-              ", \"seconds\": %.6f, \"interactions_per_sec\": %.6e}",
+              ", \"seconds\": %.6f, \"interactions_per_sec\": %.6e",
               first_result ? "" : ",\n", r.simulator, r.n, r.interactions,
               r.seconds, static_cast<double>(r.interactions) / r.seconds);
+  if (r.stats != nullptr) {
+    std::printf(", \"stats\": {\"epochs\": %" PRIu64 ", \"sequential\": %" PRIu64
+                ", \"shuffle\": %" PRIu64 ", \"dense\": %" PRIu64 "}",
+                r.stats->epochs, r.stats->sequential, r.stats->shuffle, r.stats->dense);
+  }
+  std::printf("}");
   first_result = false;
   std::fflush(stdout);
 }
@@ -118,7 +126,7 @@ int main(int argc, char** argv) {
       const std::uint64_t work =
           std::max(kSequentialWork, 8 * n);
       const double secs = run_count_workload(sim, n, work);
-      emit({"batched", n, work, secs});
+      emit({"batched", n, work, secs, &sim.stats()});
     }
   }
   std::printf("\n  ]\n}\n");

@@ -13,9 +13,11 @@
 //     AgentSimulation at an overlapping n (trials fan out over threads via
 //     run_trials_parallel; lazy batched trials share one JIT table);
 //   * scaling — throughput at n = 10^8 … max-n under a fixed interaction
-//     budget, plus protocol observables.  AgentSimulation needs Θ(n) memory
-//     (≳ 4 GB at n = 10^8 for Log-Size-Estimation) and is simply absent
-//     above that, which is the point of the compile-to-counts pipeline.
+//     budget, plus protocol observables and the point's epoch counters
+//     (`stats`: epochs and which batch sampler each took).  AgentSimulation
+//     needs Θ(n) memory (≳ 4 GB at n = 10^8 for Log-Size-Estimation) and is
+//     simply absent above that, which is the point of the compile-to-counts
+//     pipeline.
 //
 // The c8_lazy config exists only through `LazyCompiledSpec`: its pair space
 // (~10¹⁰) is far beyond the eager BFS closure, so it additionally runs an
@@ -88,7 +90,10 @@ void print_scaling(pops::BatchedCountSimulation& sim, std::uint64_t max_n,
                 "\"parallel_time\": %.6g, \"%s\": %" PRIu64,
                 first_point ? "" : ",\n", n, work, secs,
                 static_cast<double>(work) / secs, sim.time(), obs_name, obs);
-    std::printf("}");
+    const auto& st = sim.stats();
+    std::printf(", \"stats\": {\"epochs\": %" PRIu64 ", \"sequential\": %" PRIu64
+                ", \"shuffle\": %" PRIu64 ", \"dense\": %" PRIu64 "}}",
+                st.epochs, st.sequential, st.shuffle, st.dense);
     first_point = false;
     std::fflush(stdout);
   }

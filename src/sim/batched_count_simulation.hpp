@@ -15,14 +15,24 @@
 //      ("collision"), via inversion of the birthday survival function
 //      P(L > t) = (n)_{2t} / (n(n-1))^t  (binary search, O(log n) evals).
 //   2. The 2(L−1) agents of the collision-free prefix are a uniform sample
-//      without replacement from the configuration: draw their *joint* state
-//      multiset with one multivariate hypergeometric pass, split it into
-//      receiver/sender multisets (the receivers are a uniform t-subset of
-//      the 2t agents, so the receiver class counts are again multivariate
-//      hypergeometric — one fused draw replaces the former two full-
-//      configuration draws), pair them by a uniform bipartite matching, and
-//      apply every transition by count arithmetic (randomized transitions
-//      split by binomial draws).
+//      without replacement from the configuration.  Two samplers, chosen
+//      per epoch from n and the occupancy alone:
+//        * batch — draw their *joint* state multiset with one multivariate
+//          hypergeometric pass, split it into receiver/sender multisets
+//          (the receivers are a uniform t-subset of the 2t agents, so the
+//          receiver class counts are again multivariate hypergeometric —
+//          one fused draw replaces the former two full-configuration
+//          draws), pair them by a uniform bipartite matching, and apply
+//          every transition by count arithmetic (randomized transitions
+//          split by binomial draws).  O(occupied) univariate draws plus
+//          O(t) or O(occ²) pairing.
+//        * sequential — when the expected batch √(πn/8) is short next to
+//          the occupancy (< 3·occupied classes), O(occupied) hypergeometric
+//          draws cost more than the O(t) interactions they serve: draw the
+//          2t agents one at a time (uniform slot over prefix sums of the
+//          occupied classes, redrawn if it lands on an agent already in the
+//          batch) and fire each pair as a single interaction.  O(occupied)
+//          additions plus O(t log occupied).
 //   3. Resolve the single colliding interaction exactly: the repeated agent
 //      is uniform among the 2(L−1) touched agents (whose post-batch states
 //      are known as a multiset), its partner uniform among touched/untouched
@@ -56,6 +66,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,6 +105,15 @@ class BatchedCountSimulation {
   BatchedCountSimulation(const BatchedCountSimulation&) = delete;
   BatchedCountSimulation& operator=(const BatchedCountSimulation&) = delete;
 
+  /// Observed epoch counters: epochs run and the batch sampler each took
+  /// (an epoch runs exactly one, so the three paths sum to `epochs`).
+  struct Stats {
+    std::uint64_t epochs = 0;
+    std::uint64_t sequential = 0;  ///< agent-by-agent short-epoch sampler
+    std::uint64_t shuffle = 0;     ///< joint draw + shuffle pairing
+    std::uint64_t dense = 0;       ///< joint draw + contingency-table pairing
+  };
+
   /// Reset to an empty configuration with a fresh seed, reusing the compiled
   /// dispatch table.  For multi-trial experiments on compiled specs the
   /// table build (millions of entries — or, lazily, the JIT warm-up) dwarfs
@@ -109,6 +129,7 @@ class BatchedCountSimulation {
     occupied_.clear();
     total_ = 0;
     interactions_ = 0;
+    stats_ = Stats{};
   }
 
   /// Set the initial count of a state (before stepping).
@@ -172,11 +193,15 @@ class BatchedCountSimulation {
   /// Snapshot of all counts, indexed by state id.
   std::vector<std::uint64_t> counts() const { return counts_; }
 
+  /// Epoch counters since construction or the last reset().
+  const Stats& stats() const { return stats_; }
+
  private:
   // --------------------------------------------------- epoch substreams ----
   // Per-epoch stream indices (SubstreamSeeder keyed (seed, epoch, i)):
   //   0   — root: collision search, dense pairing, collision resolution
-  //   1   — fused joint draw and receiver split
+  //   1   — fused joint draw and receiver split, or the whole sequential
+  //         batch (agent draws and randomized-cell picks)
   //   256 — shuffle pairing (sender shuffle + transition binomials)
   static constexpr std::uint64_t kStreamRoot = 0;
   static constexpr std::uint64_t kStreamJoint = 1;
@@ -192,6 +217,8 @@ class BatchedCountSimulation {
     const std::uint64_t tmax = n / 2;  // longest possible collision-free run
     const SubstreamSeeder seeder(master_seed_, epoch_index_++);
     Rng root = seeder.stream(kStreamRoot);
+    ++stats_.epochs;
+    if (n != survival_n_) cache_survival_constants(n);
     if (budget == 1) {  // a single interaction is always a collision-free prefix
       run_batch(1, /*keep_split=*/false, seeder, root);
       return 1;
@@ -234,15 +261,16 @@ class BatchedCountSimulation {
   /// log-factorial difference would cancel catastrophically); for small n,
   /// by `log_factorial` (stats/discrete.hpp) — not libm's lgamma, which
   /// writes the global `signgam` and so races when trials fan out over
-  /// threads on one shared JIT table.
+  /// threads on one shared JIT table.  The terms that depend on n alone are
+  /// cached per population size (`cache_survival_constants`), not
+  /// recomputed per binary-search probe.
   double log_survival(std::uint64_t t) const {
     const std::uint64_t n = total_;
     if (2 * t > n) return -std::numeric_limits<double>::infinity();
     const double dn = static_cast<double>(n);
     const double dt = static_cast<double>(t);
-    if (n < 1000000) {
-      return detail::log_factorial(dn) - detail::log_factorial(dn - 2.0 * dt) -
-             dt * (std::log(dn) + std::log(dn - 1.0));
+    if (n < kSurvivalSeriesN) {
+      return log_factorial_n_ - detail::log_factorial(dn - 2.0 * dt) - dt * log_pair_n_;
     }
     // sum_{j=0}^{2t-1} log1p(-j/n) - t*log1p(-1/n), with
     // sum log1p(-j/n) ~ -(S1/n + S2/(2n^2) + S3/(3n^3) + S4/(4n^4)).
@@ -256,51 +284,129 @@ class BatchedCountSimulation {
     const double series = -(s1 / dn + s2 / (2.0 * dn * dn) +
                             s3 / (3.0 * dn * dn * dn) +
                             s4 / (4.0 * dn * dn * dn * dn));
-    return series - dt * std::log1p(-1.0 / dn);
+    return series - dt * log1p_inv_n_;
+  }
+
+  /// Precompute log_survival's n-only terms for the branch `n` takes; the
+  /// expressions are unchanged, so every probe's value is bit-identical.
+  void cache_survival_constants(std::uint64_t n) {
+    const double dn = static_cast<double>(n);
+    survival_n_ = n;
+    if (n < kSurvivalSeriesN) {
+      log_factorial_n_ = detail::log_factorial(dn);
+      log_pair_n_ = std::log(dn) + std::log(dn - 1.0);
+    } else {
+      log1p_inv_n_ = std::log1p(-1.0 / dn);
+    }
   }
 
   // ------------------------------------------------------- batch moves ----
 
-  /// Sample and apply `t` collision-free interactions by count arithmetic.
+  /// Sample and apply `t` collision-free interactions.
   /// If `keep_split` is set, the configuration is left split across
   /// `counts_` (untouched agents) and `touched_` (post-batch states of the
   /// 2t touched agents) for collision resolution; otherwise it is merged.
   void run_batch(std::uint64_t t, bool keep_split, const SubstreamSeeder& seeder,
                  Rng& root) {
-    draw_joint(t, seeder);
-    // Pair receivers with senders: a uniform bipartite matching.  Two
-    // equivalent samplers with opposite cost profiles:
-    //   * dense — a sequentially-sampled contingency table, one
-    //     hypergeometric per (receiver class, sender class): O(occ_r · occ_s)
-    //     draws.  Wins when the batch is huge relative to the occupied grid
-    //     (early dynamics, n ≳ 10^11).
-    //   * shuffle — expand the sender multiset into t slots, shuffle, and
-    //     let receiver classes consume slots in order: a uniform permutation
-    //     of the sender multiset against receiver slots is exactly a uniform
-    //     matching.  O(t) with tiny constants; wins when the occupied grid
-    //     is not tiny relative to the batch — a slot write costs ~1/8 of a
-    //     rejection draw, so the dense scan only wins when occ_r · occ_s ≪ t
-    //     (few huge classes at n ≳ 10¹¹).
+    compact_occupied();
+    // Three exact samplers for the batch's uniform pairing of 2t distinct
+    // agents, with different cost profiles:
+    //   * sequential — draw the agents one by one and fire each pair:
+    //     O(t log occ) plus one O(occ) prefix-sum pass.  Wins when the
+    //     expected batch is short next to the occupancy (√(πn/8) <
+    //     kSequentialOccupancy · occ; the rule reads n and occupancy only,
+    //     never the realized t), where the joint draw's O(occ) univariate
+    //     hypergeometric draws dominate (small n, many classes).
+    //   * dense — joint draw, then a sequentially-sampled contingency
+    //     table, one hypergeometric per (receiver class, sender class):
+    //     O(occ_r · occ_s) draws.  Wins when the batch is huge relative to
+    //     the occupied grid (early dynamics, n ≳ 10^11).
+    //   * shuffle — joint draw, then expand the sender multiset into t
+    //     slots, shuffle, and let receiver classes consume slots in order:
+    //     a uniform permutation of the sender multiset against receiver
+    //     slots is exactly a uniform matching.  O(t) with tiny constants;
+    //     wins when the occupied grid is not tiny relative to the batch — a
+    //     slot write costs ~1/8 of a rejection draw, so the dense scan only
+    //     wins when occ_r · occ_s ≪ t (few huge classes at n ≳ 10¹¹).
     // The shuffle buffer is capped so sub-√n epochs never allocate
     // unboundedly at n = 10¹²⁺; past the cap the dense scan takes over.
-    std::uint64_t occ_r = 0, occ_s = 0;
-    for (const std::uint32_t j : joint_ids_) {
-      occ_r += recv_[j] != 0 ? 1 : 0;
-      occ_s += send_[j] != 0 ? 1 : 0;
-    }
-    if (occ_r * occ_s * 8 < t || t > kMaxShuffleSlots) {
-      pair_dense(t, root);
+    const double occ = static_cast<double>(occupied_.size());
+    if (std::numbers::pi * static_cast<double>(total_) / 8.0 <
+        kSequentialOccupancy * kSequentialOccupancy * occ * occ) {
+      Rng rng = seeder.stream(kStreamJoint);
+      pair_sequential(t, rng);
+      ++stats_.sequential;
     } else {
-      pair_shuffle(t, seeder);
+      draw_joint(t, seeder);
+      std::uint64_t occ_r = 0, occ_s = 0;
+      for (const std::uint32_t j : joint_ids_) {
+        occ_r += recv_[j] != 0 ? 1 : 0;
+        occ_s += send_[j] != 0 ? 1 : 0;
+      }
+      if (occ_r * occ_s * 8 < t || t > kMaxShuffleSlots) {
+        pair_dense(t, root);
+        ++stats_.dense;
+      } else {
+        pair_shuffle(t, seeder);
+        ++stats_.shuffle;
+      }
+      for (const std::uint32_t j : joint_ids_) {
+        joint_[j] = 0;
+        recv_[j] = 0;
+        send_[j] = 0;
+      }
+      joint_ids_.clear();
     }
-    for (const std::uint32_t j : joint_ids_) {
-      joint_[j] = 0;
-      recv_[j] = 0;
-      send_[j] = 0;
-    }
-    joint_ids_.clear();
     interactions_ += t;
     if (!keep_split) merge_touched();
+  }
+
+  /// Short-epoch sampler.  Conditioned on the prefix being collision-free,
+  /// its 2t agents are a uniform ordered sequence of distinct agents and
+  /// every input state is a pre-batch state, so drawing the agents one at a
+  /// time without replacement (receiver, then sender, per interaction) and
+  /// firing each pair as a single interaction is exact.  A draw is a
+  /// uniform slot over the prefix sums of the occupied classes; the first
+  /// `joint_[i]` agents of class i stand for those already in the batch,
+  /// and a slot landing on one is redrawn.  Classes are addressed in
+  /// occupied-list order, never by id value, so JIT runs stay invariant by
+  /// state label.  `joint_`/`joint_ids_` hold the drawn counts and are
+  /// subtracted from `counts_` at the end, leaving the untouched agents
+  /// there as the collision resolution expects.
+  void pair_sequential(std::uint64_t t, Rng& rng) {
+    cum_.resize(occupied_.size());
+    std::uint64_t acc = 0;
+    for (std::size_t k = 0; k < occupied_.size(); ++k) {
+      acc += counts_[occupied_[k]];
+      cum_[k] = acc;
+    }
+    for (std::uint64_t m = 0; m < t; ++m) {
+      const std::uint32_t r = draw_fresh(rng);
+      const std::uint32_t s = draw_fresh(rng);
+      const auto [out_r, out_s] = resolve_transition(r, s, rng);
+      touch(out_r, 1);
+      touch(out_s, 1);
+    }
+    for (const std::uint32_t i : joint_ids_) {
+      counts_[i] -= joint_[i];
+      joint_[i] = 0;
+    }
+    joint_ids_.clear();
+  }
+
+  /// One uniform agent not yet drawn in this sequential batch; returns its
+  /// class and counts it into `joint_`.
+  std::uint32_t draw_fresh(Rng& rng) {
+    for (;;) {
+      const std::uint64_t slot = rng.below(total_);
+      const std::size_t k = static_cast<std::size_t>(
+          std::upper_bound(cum_.begin(), cum_.end(), slot) - cum_.begin());
+      const std::uint32_t i = occupied_[k];
+      const std::uint64_t offset = slot - (k == 0 ? 0 : cum_[k - 1]);
+      if (offset < joint_[i]) continue;  // already in this batch
+      if (joint_[i]++ == 0) joint_ids_.push_back(i);
+      return i;
+    }
   }
 
   /// The fused batch draw.  Drawing t receivers then t senders without
@@ -314,7 +420,6 @@ class BatchedCountSimulation {
   /// list persists across epochs — only compaction of classes that emptied
   /// touches it.
   void draw_joint(std::uint64_t t, const SubstreamSeeder& seeder) {
-    compact_occupied();
     joint_ids_.clear();
     Rng rng = seeder.stream(kStreamJoint);
     std::uint64_t remaining_total = total_;
@@ -614,6 +719,15 @@ class BatchedCountSimulation {
   /// pairing rather than materializing an O(√n) slot buffer at n = 10¹²⁺.
   static constexpr std::uint64_t kMaxShuffleSlots = std::uint64_t{1} << 22;
 
+  /// Short-epoch rule: sample agent by agent when the expected batch
+  /// √(πn/8) is below this multiple of the occupied-class count (compared
+  /// squared).  Chosen by a sweep on c8 at n = 5·10³ (1, 2, 3, 6 tried;
+  /// 3 fastest).
+  static constexpr double kSequentialOccupancy = 3.0;
+
+  /// log_survival switches from log-factorials to the log1p series here.
+  static constexpr std::uint64_t kSurvivalSeriesN = 1000000;
+
   FiniteSpec spec_storage_;      ///< owned in eager mode; empty in lazy mode
   const FiniteSpec* spec_;
   std::uint64_t master_seed_;    ///< every epoch substream derives from this
@@ -625,12 +739,17 @@ class BatchedCountSimulation {
   std::vector<std::uint64_t> counts_;  ///< configuration vector
   std::uint64_t total_ = 0;
   std::uint64_t interactions_ = 0;
+  Stats stats_;
+  // log_survival's n-only terms, valid for population size survival_n_.
+  std::uint64_t survival_n_ = 0;
+  double log_factorial_n_ = 0.0, log_pair_n_ = 0.0, log1p_inv_n_ = 0.0;
   // Per-epoch scratch, sparse in the occupied classes (hot path allocates
   // nothing and never walks the full state range).
   std::vector<std::uint64_t> touched_, recv_, send_, joint_, cell_accum_;
   std::vector<std::uint8_t> in_occupied_;
   std::vector<std::uint32_t> occupied_, joint_ids_, touched_ids_, cell_touched_;
   std::vector<std::uint32_t> sender_slots_;
+  std::vector<std::uint64_t> cum_;  ///< pair_sequential's class prefix sums
   ClassMultiset sender_ms_;  ///< pair_shuffle's sender multiset (reused)
 };
 

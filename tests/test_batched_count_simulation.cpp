@@ -8,14 +8,17 @@
 // full Composed<MajorityStage> protocol is agent-level and cannot run on a
 // configuration vector.)
 //
-// Per-seed golden runs pin the exact output of both pairing paths, so a
-// refactor of the epoch pipeline that changes a single sampled bit fails
+// Per-seed golden runs pin the exact output of all three batch samplers, so
+// a refactor of the epoch pipeline that changes a single sampled bit fails
 // here even when it stays distribution-exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "compile/headline.hpp"
 #include "compile/lazy.hpp"
@@ -121,32 +124,52 @@ TEST(BatchedCountSimulation, RandomizedRatesRespected) {
 // statistically indistinguishable configuration distributions.
 // ------------------------------------------------------------------------
 
+/// Final-configuration histogram keyed by the counts of the `observed`
+/// states (mixed radix n + 1) after `interactions` interactions, run as
+/// `steps(chunk)` calls — each call truncates its epochs at the chunk; 0
+/// runs them in one call.  For the batched simulator, `sequential_epochs`
+/// accumulates how many epochs took the short-epoch sampler.
 template <typename Sim>
 std::map<std::uint64_t, std::uint64_t> final_count_histogram(
     const FiniteSpec& spec, const std::vector<std::pair<std::string, std::uint64_t>>& init,
-    const std::string& observable, double parallel_time, std::uint64_t trials,
-    std::uint64_t master_seed) {
+    const std::vector<std::string>& observed, std::uint64_t interactions,
+    std::uint64_t trials, std::uint64_t master_seed, std::uint64_t chunk = 0,
+    std::uint64_t* sequential_epochs = nullptr) {
+  if (chunk == 0) chunk = interactions;
   std::map<std::uint64_t, std::uint64_t> histogram;
   for (std::uint64_t i = 0; i < trials; ++i) {
     Sim sim(spec, trial_seed(master_seed, i));
     for (const auto& [state, c] : init) sim.set_count(state, c);
-    sim.advance_time(parallel_time);
-    ++histogram[sim.count(observable)];
+    for (std::uint64_t done = 0; done < interactions; done += chunk) {
+      sim.steps(std::min(chunk, interactions - done));
+    }
+    std::uint64_t key = 0;
+    for (const auto& state : observed) {
+      key = key * (sim.population_size() + 1) + sim.count(state);
+    }
+    ++histogram[key];
+    if constexpr (std::is_same_v<Sim, BatchedCountSimulation>) {
+      if (sequential_epochs != nullptr) *sequential_epochs += sim.stats().sequential;
+    }
   }
   return histogram;
 }
 
-TEST(BatchedEquivalence, EpidemicConfigurationDistribution) {
-  const auto spec = epidemic_spec();
-  const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 295}, {"I", 5}};
-  const auto sequential = final_count_histogram<CountSimulation>(
-      spec, init, "I", 2.0, 4000, 0xAAA1);
-  const auto batched = final_count_histogram<BatchedCountSimulation>(
-      spec, init, "I", 2.0, 4000, 0xBBB2);
+void expect_equivalent(const std::map<std::uint64_t, std::uint64_t>& sequential,
+                       const std::map<std::uint64_t, std::uint64_t>& batched) {
   const auto verdict = two_sample_chi_square(sequential, batched);
   EXPECT_TRUE(verdict.accept())
       << "chi-square " << verdict.statistic << " at df " << verdict.df
       << " (critical " << chi_square_critical(verdict.df) << ")";
+}
+
+TEST(BatchedEquivalence, EpidemicConfigurationDistribution) {
+  // 300 agents to parallel time 2.
+  const auto spec = epidemic_spec();
+  const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 295}, {"I", 5}};
+  expect_equivalent(
+      final_count_histogram<CountSimulation>(spec, init, {"I"}, 600, 4000, 0xAAA1),
+      final_count_histogram<BatchedCountSimulation>(spec, init, {"I"}, 600, 4000, 0xBBB2));
 }
 
 TEST(BatchedEquivalence, MajorityConfigurationDistribution) {
@@ -154,29 +177,20 @@ TEST(BatchedEquivalence, MajorityConfigurationDistribution) {
   // (mid-convergence, where distributional differences would show).
   const auto spec = approximate_majority_spec();
   const std::vector<std::pair<std::string, std::uint64_t>> init{{"x", 160}, {"y", 140}};
-  const auto sequential = final_count_histogram<CountSimulation>(
-      spec, init, "x", 3.0, 4000, 0xCCC3);
-  const auto batched = final_count_histogram<BatchedCountSimulation>(
-      spec, init, "x", 3.0, 4000, 0xDDD4);
-  const auto verdict = two_sample_chi_square(sequential, batched);
-  EXPECT_TRUE(verdict.accept())
-      << "chi-square " << verdict.statistic << " at df " << verdict.df
-      << " (critical " << chi_square_critical(verdict.df) << ")";
+  expect_equivalent(
+      final_count_histogram<CountSimulation>(spec, init, {"x"}, 900, 4000, 0xCCC3),
+      final_count_histogram<BatchedCountSimulation>(spec, init, {"x"}, 900, 4000, 0xDDD4));
 }
 
 TEST(BatchedEquivalence, RandomizedRateConfigurationDistribution) {
-  // Lazy epidemic exercises the binomial splitting of randomized cells.
+  // Lazy epidemic exercises the binomial splitting of randomized cells
+  // (300 agents to parallel time 3).
   FiniteSpec spec;
   spec.add_symmetric("S", "I", "I", "I", 0.3);
   const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 290}, {"I", 10}};
-  const auto sequential = final_count_histogram<CountSimulation>(
-      spec, init, "I", 3.0, 4000, 0xEEE5);
-  const auto batched = final_count_histogram<BatchedCountSimulation>(
-      spec, init, "I", 3.0, 4000, 0xFFF6);
-  const auto verdict = two_sample_chi_square(sequential, batched);
-  EXPECT_TRUE(verdict.accept())
-      << "chi-square " << verdict.statistic << " at df " << verdict.df
-      << " (critical " << chi_square_critical(verdict.df) << ")";
+  expect_equivalent(
+      final_count_histogram<CountSimulation>(spec, init, {"I"}, 900, 4000, 0xEEE5),
+      final_count_histogram<BatchedCountSimulation>(spec, init, {"I"}, 900, 4000, 0xFFF6));
 }
 
 TEST(BatchedEquivalence, TinyPopulationDistribution) {
@@ -184,42 +198,98 @@ TEST(BatchedEquivalence, TinyPopulationDistribution) {
   // empty untouched pools) where an off-by-one would skew the distribution.
   const auto spec = epidemic_spec();
   const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 3}, {"I", 1}};
-  const auto sequential = final_count_histogram<CountSimulation>(
-      spec, init, "I", 1.5, 6000, 0x1111);
+  expect_equivalent(
+      final_count_histogram<CountSimulation>(spec, init, {"I"}, 6, 6000, 0x1111),
+      final_count_histogram<BatchedCountSimulation>(spec, init, {"I"}, 6, 6000, 0x2222));
+}
+
+// ------------------------------------------------------------------------
+// Short-epoch (sequential) sampler: small n next to many occupied classes
+// sends epochs agent by agent.  Each test also asserts the path fired.
+// ------------------------------------------------------------------------
+
+/// Five-state cycle with randomized cells: (a, b) leaves residual null mass
+/// 0.3, (b, c) and (d, e) are full-mass cells (the clamped `pick`).
+FiniteSpec randomized_cycle_spec() {
+  FiniteSpec spec;
+  spec.add("a", "b", "b", "b", 0.4);
+  spec.add("a", "b", "c", "c", 0.3);
+  spec.add("b", "c", "c", "d", 0.25);
+  spec.add("b", "c", "a", "a", 0.75);
+  spec.add("c", "a", "a", "e");
+  spec.add("d", "e", "a", "b", 0.5);
+  spec.add("d", "e", "e", "e", 0.5);
+  spec.add_symmetric("e", "a", "b", "c", 0.6);
+  spec.add("c", "d", "d", "a", 0.2);
+  return spec;
+}
+
+TEST(BatchedSequentialPath, RandomizedCellsMatchCountSimulation) {
+  // n = 300: √(πn/8) ≈ 10.9 < 3 · occupancy whenever four or more of the
+  // five classes are occupied.
+  const auto spec = randomized_cycle_spec();
+  const std::vector<std::pair<std::string, std::uint64_t>> init{
+      {"a", 100}, {"b", 80}, {"c", 60}, {"d", 40}, {"e", 20}};
+  const std::vector<std::string> observed{"a", "c"};
+  std::uint64_t sequential_epochs = 0;
+  const auto reference = final_count_histogram<CountSimulation>(
+      spec, init, observed, 900, 4000, 0x5E01);
   const auto batched = final_count_histogram<BatchedCountSimulation>(
-      spec, init, "I", 1.5, 6000, 0x2222);
-  const auto verdict = two_sample_chi_square(sequential, batched);
-  EXPECT_TRUE(verdict.accept())
-      << "chi-square " << verdict.statistic << " at df " << verdict.df
-      << " (critical " << chi_square_critical(verdict.df) << ")";
+      spec, init, observed, 900, 4000, 0x5E02, 0, &sequential_epochs);
+  EXPECT_GT(sequential_epochs, 0u);
+  expect_equivalent(reference, batched);
+}
+
+TEST(BatchedSequentialPath, SingletonClassesMatchCountSimulation) {
+  // n = 8 agents in eight singleton classes: nearly every draw after the
+  // first lands on an agent already in the batch and is redrawn, and a
+  // collision-free run can use all 2t = n agents.
+  FiniteSpec spec;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      if (i == j) continue;
+      spec.add("s" + std::to_string(i), "s" + std::to_string(j),
+               "s" + std::to_string((i + j + 1) / 2), "s" + std::to_string((i + j) / 2));
+    }
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> init;
+  for (int i = 0; i < 8; ++i) init.emplace_back("s" + std::to_string(i), 1);
+  const std::vector<std::string> observed{"s2", "s3", "s4", "s5"};
+  std::uint64_t sequential_epochs = 0;
+  const auto reference = final_count_histogram<CountSimulation>(
+      spec, init, observed, 6, 6000, 0x5E03);
+  const auto batched = final_count_histogram<BatchedCountSimulation>(
+      spec, init, observed, 6, 6000, 0x5E04, 0, &sequential_epochs);
+  EXPECT_GT(sequential_epochs, 0u);
+  expect_equivalent(reference, batched);
+}
+
+TEST(BatchedSequentialPath, TruncatedEpochsMatchCountSimulation) {
+  // steps(1) runs single-interaction epochs; steps(3) truncates at 3, so
+  // roughly one epoch in five ends in a collision resolved after a
+  // sequential prefix (n = 60: P(L > 3) ≈ 0.81).
+  const auto spec = randomized_cycle_spec();
+  const std::vector<std::pair<std::string, std::uint64_t>> init{
+      {"a", 20}, {"b", 16}, {"c", 12}, {"d", 8}, {"e", 4}};
+  const std::vector<std::string> observed{"a", "c"};
+  const auto reference = final_count_histogram<CountSimulation>(
+      spec, init, observed, 120, 4000, 0x5E05);
+  for (const std::uint64_t chunk : {1ull, 3ull}) {
+    std::uint64_t sequential_epochs = 0;
+    const auto batched = final_count_histogram<BatchedCountSimulation>(
+        spec, init, observed, 120, 4000, 0x5E06 + chunk, chunk, &sequential_epochs);
+    EXPECT_GT(sequential_epochs, 0u) << "chunk " << chunk;
+    expect_equivalent(reference, batched);
+  }
 }
 
 // ----------------------------------------------------------- golden runs ----
 
-TEST(BatchedGolden, DensePathEpidemicCountsArePinned) {
-  // Two occupied classes at n = 10⁹: every epoch pairs by the dense
-  // contingency scan on the root stream.
-  BatchedCountSimulation sim(epidemic_spec(), 0x601DE9);
-  sim.set_count("S", 900'000'000);
-  sim.set_count("I", 100'000'000);
-  sim.steps(3'000'000);
-  EXPECT_EQ(sim.count("S"), 899'458'812u);
-  EXPECT_EQ(sim.count("I"), 100'541'188u);
-}
-
-TEST(BatchedGolden, ShufflePathJitCountsArePinned) {
-  // Lazy log-size estimation at n = 2·10⁶: after the first few epochs the
-  // occupied grid is large relative to the batch, so pairing takes the
-  // shuffle path, and pairs compile on first contact.  State ids depend on
-  // interning order, so the configuration is pinned by name, through an
-  // FNV-1a digest of "name=count;" over the occupied states in name order.
-  const auto proto = log_size_tiny();
-  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
-  BatchedCountSimulation sim(lazy, 0x601DEA);
-  Rng seeder(11);
-  lazy.seed_initial(sim, 2'000'000, seeder);
-  sim.advance_time(10.0);
-  std::map<std::string, std::uint64_t> by_name;
+/// FNV-1a digest of "name=count;" over the occupied states in name order:
+/// state ids depend on JIT interning order, names do not.
+template <typename Lazy>
+std::uint64_t digest_by_name(const Lazy& lazy, const BatchedCountSimulation& sim,
+                             std::map<std::string, std::uint64_t>& by_name) {
   const auto counts = sim.counts();
   for (std::uint32_t id = 0; id < counts.size(); ++id) {
     if (counts[id] != 0) by_name[lazy.spec().name(id)] = counts[id];
@@ -232,10 +302,64 @@ TEST(BatchedGolden, ShufflePathJitCountsArePinned) {
     }
   };
   for (const auto& [name, c] : by_name) mix(name + "=" + std::to_string(c) + ";");
+  return digest;
+}
+
+TEST(BatchedGolden, DensePathEpidemicCountsArePinned) {
+  // Two occupied classes at n = 10⁹: every epoch pairs by the dense
+  // contingency scan on the root stream.
+  BatchedCountSimulation sim(epidemic_spec(), 0x601DE9);
+  sim.set_count("S", 900'000'000);
+  sim.set_count("I", 100'000'000);
+  sim.steps(3'000'000);
+  EXPECT_EQ(sim.count("S"), 899'458'812u);
+  EXPECT_EQ(sim.count("I"), 100'541'188u);
+  EXPECT_EQ(sim.stats().sequential, 0u);
+  EXPECT_GT(sim.stats().dense, 0u);
+}
+
+TEST(BatchedGolden, ShufflePathJitCountsArePinned) {
+  // Lazy log-size estimation at n = 2·10⁶: after the first few epochs the
+  // occupied grid is large relative to the batch, so pairing takes the
+  // shuffle path, and pairs compile on first contact.  State ids depend on
+  // interning order, so the configuration is pinned by name.
+  const auto proto = log_size_tiny();
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
+  BatchedCountSimulation sim(lazy, 0x601DEA);
+  Rng seeder(11);
+  lazy.seed_initial(sim, 2'000'000, seeder);
+  sim.advance_time(10.0);
+  std::map<std::string, std::uint64_t> by_name;
+  const std::uint64_t digest = digest_by_name(lazy, sim, by_name);
   EXPECT_EQ(sim.interactions(), 20'000'000u);
   EXPECT_EQ(by_name.size(), 131u);
   EXPECT_EQ(by_name["A|l3|t0|e1|g1|s0|---|o0"], 539u);
   EXPECT_EQ(digest, 0x3f8cede5659624caULL);
+  EXPECT_EQ(sim.stats().sequential, 0u);
+  EXPECT_GT(sim.stats().shuffle, 0u);
+}
+
+TEST(BatchedGolden, SequentialPathJitCountsArePinned) {
+  // Lazy log-size estimation at n = 5·10³: √(πn/8) ≈ 44 is below three
+  // times the occupancy while 15 or more classes are occupied, so most
+  // epochs take the short-epoch sampler on the joint stream; as the run
+  // converges the occupancy falls and the shuffle and dense paths take over.
+  const auto proto = log_size_tiny();
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
+  BatchedCountSimulation sim(lazy, 0x601DEB);
+  Rng seeder(12);
+  lazy.seed_initial(sim, 5'000, seeder);
+  sim.advance_time(20.0);
+  std::map<std::string, std::uint64_t> by_name;
+  const std::uint64_t digest = digest_by_name(lazy, sim, by_name);
+  EXPECT_EQ(sim.interactions(), 100'000u);
+  EXPECT_EQ(sim.stats().epochs, 2229u);
+  EXPECT_EQ(sim.stats().sequential, 2037u);
+  EXPECT_EQ(sim.stats().shuffle, 118u);
+  EXPECT_EQ(sim.stats().dense, 74u);
+  EXPECT_EQ(by_name.size(), 7u);
+  EXPECT_EQ(by_name["A|l3|t12|e3|g1|s0|DUO|o3"], 2492u);
+  EXPECT_EQ(digest, 0x480ce940b4bfc016ULL);
 }
 
 }  // namespace

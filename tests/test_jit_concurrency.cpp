@@ -99,6 +99,15 @@ TEST_F(JitConcurrency, LazyTrialResultsAreThreadCountInvariant) {
       EXPECT_EQ(reference_pairs, lazy.pairs_compiled())
           << "compiled pair set size diverged at threads=" << threads;
     }
+    // Replay trial 0 on the warm table: it reproduces its value, and at
+    // n = 2000 its epochs take the short-epoch (sequential) sampler — so
+    // the concurrent trials above ran that path on the shared table.
+    BatchedCountSimulation replay(lazy, trial_seed(0xC0DE ^ 0xBA7C4EDULL, 0));
+    Rng seeder(trial_seed(0xC0DE ^ 0x5EEDULL, 0));
+    lazy.seed_initial(replay, 2000, seeder);
+    replay.steps(40000);
+    EXPECT_EQ(lazy.count_matching(replay.counts(), worker_observable), values[0]);
+    EXPECT_GT(replay.stats().sequential, 0u) << "threads=" << threads;
   }
 }
 
