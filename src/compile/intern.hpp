@@ -120,7 +120,7 @@ class StateInterner {
       : max_states_(max_states),
         states_(max_states),
         meta_(max_states),
-        key_words_(max_states * StateKeyBuf::kMaxWords, /*block_elems=*/std::size_t{1} << 16) {
+        key_words_(max_states * StateKeyBuf::kMaxWords) {
     POPS_REQUIRE(max_states < kNotFound, "max_states out of id range");
     // Meta::key_off is 32-bit; cap max_states so the key-word arena can
     // never outgrow it (kMaxWords words/state ⇒ ≲134M states — far beyond
@@ -236,7 +236,7 @@ class StateInterner {
   std::size_t max_states_;
   StableArena<State> states_;
   StableArena<Meta> meta_;
-  StableArena<std::uint64_t> key_words_;
+  StableArena<std::uint64_t, std::size_t{1} << 16> key_words_;
   std::vector<std::unique_ptr<Table>> tables_;  ///< all tables ever published
   std::atomic<Table*> table_;
   std::mutex mutex_;

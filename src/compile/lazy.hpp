@@ -80,7 +80,7 @@ class LazyCompiledSpec final : public JitCompiler {
   // ------------------------------------------------ JitCompiler interface --
 
   void compile_pair(std::uint32_t receiver, std::uint32_t sender) override {
-    Shard& shard = shards_[ConcurrentDispatchTable::shard_of(receiver)];
+    Shard& shard = shards_[DispatchTable::shard_of(receiver)];
     const std::lock_guard<std::mutex> lock(shard.mutex);
     if (table_.find(receiver, sender).present) return;  // lost a compile race
     POPS_REQUIRE(table_.num_cells() < core_.options().max_pairs,
@@ -90,14 +90,14 @@ class LazyCompiledSpec final : public JitCompiler {
     shard.entries.clear();
     for (const auto& c : shard.cell) {
       shard.entries.push_back(
-          ConcurrentDispatchTable::Entry{c.out_receiver, c.out_sender, c.rate});
+          DispatchTable::Entry{c.out_receiver, c.out_sender, c.rate});
     }
     table_.grow_states(core_.num_states());  // outputs may be new states
     table_.set_cell(receiver, sender, shard.entries.data(),
                     static_cast<std::uint32_t>(shard.entries.size()));
   }
 
-  const ConcurrentDispatchTable& table() const override { return table_; }
+  const DispatchTable& table() const override { return table_; }
   const FiniteSpec& spec() const override { return core_.spec(); }
 
   // ------------------------------------------------------------ compiled --
@@ -139,13 +139,13 @@ class LazyCompiledSpec final : public JitCompiler {
   struct Shard {
     std::mutex mutex;
     std::vector<typename CompilerCore<P>::CellEntry> cell;
-    std::vector<ConcurrentDispatchTable::Entry> entries;
+    std::vector<DispatchTable::Entry> entries;
   };
 
   CompilerCore<P> core_;
-  ConcurrentDispatchTable table_;
+  DispatchTable table_;
   std::vector<double> initial_distribution_;
-  std::array<Shard, ConcurrentDispatchTable::kNumShards> shards_;
+  std::array<Shard, DispatchTable::kNumShards> shards_;
 };
 
 /// One-call path mirroring `compile_bounded`: wrap a BoundableProtocol at

@@ -89,8 +89,7 @@ class AgentSimulation {
 
   /// Advance simulated parallel time by `dt` units (n * dt interactions).
   void advance_time(double dt) {
-    POPS_REQUIRE(dt >= 0.0, "advance_time needs dt >= 0");
-    steps(static_cast<std::uint64_t>(dt * static_cast<double>(agents_.size())));
+    steps(interactions_in(dt, agents_.size()));
   }
 
   /// Run until `done(sim)` holds, checking every `check_dt` units of parallel

@@ -51,8 +51,10 @@
 // hypergeometric pass, touched-class lists drive the merges, and scratch is
 // cleared by id list rather than by O(S) fills — so a 10⁴–10⁵-state compiled
 // spec pays for the classes it populates, not for S.  Dispatch goes through
-// the sparse `DispatchTable` rows; with a `JitCompiler` source, pairs
-// compile on first contact and the count vectors grow as states intern.
+// one `DispatchTable` (sim/dispatch.hpp) in both modes: an eager spec is
+// loaded into a table the simulator owns, and with a `JitCompiler` source
+// the simulator steps the JIT's table, compiling each pair the first time
+// the lookup finds it absent and growing the count vectors as states intern.
 //
 // Truncating an epoch after a fixed number of interactions is also exact —
 // whether a prefix is collision-free depends only on agent identities, which
@@ -66,6 +68,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numbers>
 #include <string>
 #include <utility>
@@ -83,13 +86,12 @@ namespace pops {
 
 class BatchedCountSimulation {
  public:
-  BatchedCountSimulation(FiniteSpec spec, std::uint64_t seed,
-                         DispatchTable::RowLayout layout = DispatchTable::RowLayout::kAuto)
+  BatchedCountSimulation(FiniteSpec spec, std::uint64_t seed)
       : spec_storage_(std::move(spec)), spec_(&spec_storage_), master_seed_(seed) {
     spec_storage_.validate();
-    table_storage_ = DispatchTable(spec_storage_, layout);
-    dispatch_ = &table_storage_;
-    init_scratch(dispatch_->num_states());
+    owned_table_ = std::make_unique<const DispatchTable>(spec_storage_);
+    table_ = owned_table_.get();
+    init_scratch(table_->num_states());
   }
 
   /// Lazy/JIT mode: pairs compile on first contact; `jit` must outlive the
@@ -97,11 +99,11 @@ class BatchedCountSimulation {
   /// Multiple simulators on different threads may share one `jit` source —
   /// its table is lock-free to read and compile_pair is sharded.
   BatchedCountSimulation(JitCompiler& jit, std::uint64_t seed)
-      : spec_(&jit.spec()), master_seed_(seed), jit_table_(&jit.table()), jit_(&jit) {
-    init_scratch(jit_table_->num_states());
+      : spec_(&jit.spec()), master_seed_(seed), table_(&jit.table()), jit_(&jit) {
+    init_scratch(table_->num_states());
   }
 
-  // spec_/dispatch_ point into own storage in eager mode; copies would dangle.
+  // spec_ points into own storage in eager mode; copies would dangle.
   BatchedCountSimulation(const BatchedCountSimulation&) = delete;
   BatchedCountSimulation& operator=(const BatchedCountSimulation&) = delete;
 
@@ -138,8 +140,10 @@ class BatchedCountSimulation {
   }
   void set_count(std::uint32_t state, std::uint64_t count) {
     sync_states();
-    total_ = total_ - counts_.at(state) + count;
-    counts_.at(state) = count;
+    const std::uint64_t rest = total_ - counts_.at(state);
+    POPS_REQUIRE(count < kMaxPopulation - rest, "population size must stay below 2^63");
+    total_ = rest + count;
+    counts_[state] = count;
     if (count != 0 && !in_occupied_[state]) {
       in_occupied_[state] = 1;
       occupied_.push_back(state);
@@ -176,8 +180,7 @@ class BatchedCountSimulation {
   }
 
   void advance_time(double dt) {
-    POPS_REQUIRE(dt >= 0.0, "advance_time needs dt >= 0");
-    steps(static_cast<std::uint64_t>(dt * static_cast<double>(total_)));
+    steps(interactions_in(dt, total_));
   }
 
   template <typename Pred>
@@ -560,12 +563,11 @@ class BatchedCountSimulation {
   /// State growth is synced after our own compiles; cells compiled by
   /// *other* threads sharing the JIT source are caught by `touch`'s guard.
   DispatchTable::Cell lookup(std::uint32_t receiver, std::uint32_t sender) {
-    if (jit_ == nullptr) return dispatch_->find(receiver, sender);
-    DispatchTable::Cell cell = jit_table_->find(receiver, sender);
-    if (!cell.present) [[unlikely]] {
+    DispatchTable::Cell cell = table_->find(receiver, sender);
+    if (!cell.present && jit_ != nullptr) {
       jit_->compile_pair(receiver, sender);
       sync_states();
-      cell = jit_table_->find(receiver, sender);
+      cell = table_->find(receiver, sender);
     }
     return cell;
   }
@@ -699,12 +701,8 @@ class BatchedCountSimulation {
     touched_ids_.reserve(s);
   }
 
-  std::uint32_t dispatch_num_states() const {
-    return jit_ != nullptr ? jit_table_->num_states() : dispatch_->num_states();
-  }
-
   void sync_states() {
-    const std::uint32_t s = dispatch_num_states();
+    const std::uint32_t s = table_->num_states();
     if (s == counts_.size()) return;
     counts_.resize(s, 0);
     touched_.resize(s, 0);
@@ -732,10 +730,9 @@ class BatchedCountSimulation {
   const FiniteSpec* spec_;
   std::uint64_t master_seed_;    ///< every epoch substream derives from this
   std::uint64_t epoch_index_ = 0;
-  DispatchTable table_storage_;  ///< owned in eager mode; empty in lazy mode
-  const DispatchTable* dispatch_ = nullptr;
-  const ConcurrentDispatchTable* jit_table_ = nullptr;  ///< lazy mode only
-  JitCompiler* jit_ = nullptr;
+  std::unique_ptr<const DispatchTable> owned_table_;  ///< eager mode only
+  const DispatchTable* table_ = nullptr;
+  JitCompiler* jit_ = nullptr;                         ///< lazy mode only
   std::vector<std::uint64_t> counts_;  ///< configuration vector
   std::uint64_t total_ = 0;
   std::uint64_t interactions_ = 0;

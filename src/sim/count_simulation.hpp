@@ -6,14 +6,16 @@
 // sender is drawn by rejection: uniform agent-slots are redrawn until one
 // differs from the receiver's slot, which is exactly uniform over the other
 // n−1 agents and never mutates the Fenwick tree.  The fired transition comes
-// from the sparse dispatch table (sim/dispatch.hpp); deterministic cells skip
-// the rate draw entirely.
+// from the dispatch table (sim/dispatch.hpp); deterministic cells skip the
+// rate draw entirely.
 //
-// Two construction modes share every hot path:
-//   * eager — a complete `FiniteSpec` compiled to a `DispatchTable` up front;
-//   * lazy  — a `JitCompiler` (compile/lazy.hpp) that compiles each
-//     (receiver, sender) pair on first contact; the simulator grows its
-//     Fenwick sampler whenever the JIT interns new states.
+// Two construction modes share one table type and one lookup:
+//   * eager — a complete `FiniteSpec` loaded into a `DispatchTable` the
+//     simulator owns; a pair with no cell is a null interaction;
+//   * lazy  — the table of a `JitCompiler` (compile/lazy.hpp), which compiles
+//     each (receiver, sender) pair the first time the lookup finds it
+//     absent; the simulator grows its Fenwick sampler whenever the JIT
+//     interns new states.
 //
 // For protocols with S = O(1) states this is dramatically faster than
 // per-agent simulation (no Θ(n) agent array to touch) and is exact: the
@@ -24,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -38,15 +41,14 @@ namespace pops {
 
 class CountSimulation {
  public:
-  CountSimulation(FiniteSpec spec, std::uint64_t seed,
-                  DispatchTable::RowLayout layout = DispatchTable::RowLayout::kAuto)
+  CountSimulation(FiniteSpec spec, std::uint64_t seed)
       : spec_storage_(std::move(spec)),
         spec_(&spec_storage_),
         rng_(seed),
         sampler_(spec_storage_.num_states()) {
     spec_storage_.validate();
-    table_storage_ = DispatchTable(spec_storage_, layout);
-    dispatch_ = &table_storage_;
+    owned_table_ = std::make_unique<const DispatchTable>(spec_storage_);
+    table_ = owned_table_.get();
   }
 
   /// Lazy/JIT mode: pairs compile on first contact; `jit` must outlive the
@@ -57,10 +59,10 @@ class CountSimulation {
       : spec_(&jit.spec()),
         rng_(seed),
         sampler_(jit.table().num_states()),
-        jit_table_(&jit.table()),
+        table_(&jit.table()),
         jit_(&jit) {}
 
-  // spec_/dispatch_ point into own storage in eager mode; copies would dangle.
+  // spec_ points into own storage in eager mode; copies would dangle.
   CountSimulation(const CountSimulation&) = delete;
   CountSimulation& operator=(const CountSimulation&) = delete;
 
@@ -70,6 +72,8 @@ class CountSimulation {
   }
   void set_count(std::uint32_t state, std::uint64_t count) {
     sync_states();
+    const std::uint64_t rest = sampler_.total() - sampler_.count(state);
+    POPS_REQUIRE(count < kMaxPopulation - rest, "population size must stay below 2^63");
     sampler_.set_count(state, count);
   }
 
@@ -109,8 +113,7 @@ class CountSimulation {
   }
 
   void advance_time(double dt) {
-    POPS_REQUIRE(dt >= 0.0, "advance_time needs dt >= 0");
-    steps(static_cast<std::uint64_t>(dt * static_cast<double>(population_size())));
+    steps(interactions_in(dt, population_size()));
   }
 
   template <typename Pred>
@@ -132,22 +135,18 @@ class CountSimulation {
   /// up again.  Compilation consumes no simulation randomness, so lazy runs
   /// are deterministic under a fixed seed.
   DispatchTable::Cell lookup(std::uint32_t receiver, std::uint32_t sender) {
-    if (jit_ == nullptr) return dispatch_->find(receiver, sender);
-    DispatchTable::Cell cell = jit_table_->find(receiver, sender);
-    if (!cell.present) [[unlikely]] {
+    DispatchTable::Cell cell = table_->find(receiver, sender);
+    if (!cell.present && jit_ != nullptr) {
       jit_->compile_pair(receiver, sender);
       sync_states();
-      cell = jit_table_->find(receiver, sender);
+      cell = table_->find(receiver, sender);
     }
     return cell;
   }
 
-  std::uint32_t dispatch_num_states() const {
-    return jit_ != nullptr ? jit_table_->num_states() : dispatch_->num_states();
-  }
-
   void sync_states() {
-    if (dispatch_num_states() > sampler_.size()) sampler_.grow(dispatch_num_states());
+    const std::uint32_t s = table_->num_states();
+    if (s > sampler_.size()) sampler_.grow(s);
   }
 
   void apply(std::uint32_t receiver, std::uint32_t sender) {
@@ -187,10 +186,9 @@ class CountSimulation {
   const FiniteSpec* spec_;
   Rng rng_;
   WeightedSampler sampler_;
-  DispatchTable table_storage_;   ///< owned in eager mode; empty in lazy mode
-  const DispatchTable* dispatch_ = nullptr;
-  const ConcurrentDispatchTable* jit_table_ = nullptr;  ///< lazy mode only
-  JitCompiler* jit_ = nullptr;
+  std::unique_ptr<const DispatchTable> owned_table_;  ///< eager mode only
+  const DispatchTable* table_ = nullptr;
+  JitCompiler* jit_ = nullptr;                         ///< lazy mode only
   std::uint64_t interactions_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // Append-only chunked storage with stable element addresses.
 //
-// The concurrent compile pipeline (compile/intern.hpp, sim/shared_dispatch.hpp)
+// The concurrent compile pipeline (compile/intern.hpp, sim/dispatch.hpp)
 // needs containers that grow while other threads read them.  std::vector
 // cannot do this — push_back reallocates, invalidating every concurrent
 // reader — so `StableArena<T>` stores elements in fixed-size blocks whose
@@ -27,15 +27,14 @@
 
 namespace pops {
 
-template <typename T>
+/// Blocks hold `kBlock` elements; a compile-time size keeps the index split
+/// a shift and a mask on the dispatch-table lookup path.
+template <typename T, std::size_t kBlock = 4096>
 class StableArena {
  public:
   /// `max_elems` bounds the arena (the directory is sized for it up front);
-  /// blocks of `block_elems` elements are allocated on demand.
-  explicit StableArena(std::size_t max_elems, std::size_t block_elems = 4096)
-      : block_(block_elems), blocks_((max_elems + block_elems - 1) / block_elems + 1) {
-    POPS_REQUIRE(block_elems > 0, "StableArena needs a positive block size");
-  }
+  /// blocks are allocated on demand.
+  explicit StableArena(std::size_t max_elems) : blocks_((max_elems + kBlock - 1) / kBlock + 1) {}
 
   StableArena(const StableArena&) = delete;
   StableArena& operator=(const StableArena&) = delete;
@@ -59,21 +58,20 @@ class StableArena {
   /// index.  Callers must serialize push() invocations.
   std::size_t push(T value) {
     const std::size_t i = size_.load(std::memory_order_relaxed);
-    const std::size_t b = i / block_;
+    const std::size_t b = i / kBlock;
     POPS_REQUIRE(b < blocks_.size(), "StableArena capacity exceeded");
     if (blocks_[b] == nullptr) {
       blocks_[b] = static_cast<T*>(
-          ::operator new(block_ * sizeof(T), std::align_val_t{alignof(T)}));
+          ::operator new(kBlock * sizeof(T), std::align_val_t{alignof(T)}));
     }
-    new (blocks_[b] + (i % block_)) T(std::move(value));
+    new (blocks_[b] + (i % kBlock)) T(std::move(value));
     size_.store(i + 1, std::memory_order_release);
     return i;
   }
 
  private:
-  T* slot(std::size_t i) const { return blocks_[i / block_] + (i % block_); }
+  T* slot(std::size_t i) const { return blocks_[i / kBlock] + (i % kBlock); }
 
-  std::size_t block_;
   std::vector<T*> blocks_;  ///< fixed-capacity directory; never reallocates
   std::atomic<std::size_t> size_{0};
 };

@@ -2,6 +2,8 @@
 // run_until semantics, state planting.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "proto/epidemic.hpp"
 #include "sim/agent_simulation.hpp"
 
@@ -54,6 +56,11 @@ TEST(AgentSimulation, DeterministicForSameSeed) {
 TEST(AgentSimulation, AdvanceTimeRunsNTimesDtInteractions) {
   AgentSimulation<CountingProtocol> sim(CountingProtocol{}, 50, 3);
   sim.advance_time(2.0);
+  EXPECT_EQ(sim.interactions(), 100u);
+  // dt·n must be a finite interaction count below 2⁶⁴.
+  EXPECT_THROW(sim.advance_time(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.advance_time(1e18), std::invalid_argument);  // 5·10¹⁹ ≥ 2⁶⁴
   EXPECT_EQ(sim.interactions(), 100u);
 }
 

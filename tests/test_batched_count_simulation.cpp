@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -52,6 +53,36 @@ TEST(BatchedCountSimulation, StepsAdvancesExactInteractionCount) {
   }
   sim.advance_time(2.5);
   EXPECT_EQ(sim.interactions(), 1ull + 2 + 17 + 1000 + 123457 + 25000);
+  // dt·n must be a finite interaction count below 2⁶⁴.
+  EXPECT_THROW(sim.advance_time(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.advance_time(1e16), std::invalid_argument);  // 10²⁰ ≥ 2⁶⁴
+  EXPECT_EQ(sim.interactions(), 1ull + 2 + 17 + 1000 + 123457 + 25000);
+}
+
+/// Both count simulators keep the population below 2⁶³: set_count rejects a
+/// total at or above it, leaves the configuration untouched when it does,
+/// and a population just under the ceiling still steps.
+template <typename Sim>
+void expect_population_ceiling() {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 62;
+  Sim sim(epidemic_spec(), 3);
+  sim.set_count("S", kHalf);
+  EXPECT_THROW(sim.set_count("I", kHalf), std::invalid_argument);  // total 2⁶³
+  EXPECT_THROW(sim.set_count("I", ~std::uint64_t{0}), std::invalid_argument);
+  EXPECT_EQ(sim.population_size(), kHalf);
+  sim.set_count("I", kHalf - 1);  // total 2⁶³ − 1
+  EXPECT_THROW(sim.set_count("S", kHalf + 1), std::invalid_argument);
+  sim.set_count("S", kHalf - 1);  // lowering a count frees room
+  EXPECT_EQ(sim.population_size(), 2 * kHalf - 2);
+  sim.steps(1000);
+  EXPECT_EQ(sim.count("S") + sim.count("I"), 2 * kHalf - 2);
+  EXPECT_EQ(sim.interactions(), 1000u);
+}
+
+TEST(CountSimulations, SetCountRejectsPopulationOf2To63) {
+  expect_population_ceiling<CountSimulation>();
+  expect_population_ceiling<BatchedCountSimulation>();
 }
 
 TEST(BatchedCountSimulation, EpidemicCompletes) {

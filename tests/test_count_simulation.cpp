@@ -1,6 +1,8 @@
 // Unit tests for the count-based simulator and FiniteSpec.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/count_simulation.hpp"
 #include "sim/finite_spec.hpp"
 
@@ -47,6 +49,12 @@ TEST(CountSimulation, ConservesPopulation) {
   sim.set_count("I", 1);
   sim.steps(5000);
   EXPECT_EQ(sim.population_size(), 100u);
+  EXPECT_EQ(sim.count("S") + sim.count("I"), 100u);
+  // An advance_time whose dt·n is infinite or ≥ 2⁶⁴ throws and runs nothing.
+  EXPECT_THROW(sim.advance_time(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.advance_time(1e18), std::invalid_argument);  // 10²⁰ ≥ 2⁶⁴
+  EXPECT_EQ(sim.interactions(), 5000u);
   EXPECT_EQ(sim.count("S") + sim.count("I"), 100u);
 }
 

@@ -1,11 +1,14 @@
-// Tests for the sparse dispatch table (sim/dispatch.hpp): cell
-// classification, the pick() residual clamp, sorted-vs-direct row layout
-// equivalence (including bit-identical simulator trajectories), and the
-// sorted-to-direct row upgrade under load.
+// Tests for the dispatch table (sim/dispatch.hpp): cell classification, the
+// pick() residual clamp, the eager build checked cell by cell against a
+// brute-force grouping of the spec (crowded rows and oversize cells
+// included), and per-seed golden trajectories of both count simulators on
+// an eagerly compiled spec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "compile/compiler.hpp"
@@ -20,7 +23,6 @@ namespace {
 
 using Cell = DispatchTable::Cell;
 using Kind = DispatchTable::CellKind;
-using Layout = DispatchTable::RowLayout;
 
 // ------------------------------------------------------- classification ----
 
@@ -110,98 +112,145 @@ TEST(DispatchTable, PickStillReturnsNullForResidualMass) {
   EXPECT_EQ(DispatchTable::pick(cell, 0.9999), nullptr);
 }
 
-// ------------------------------------------------------- layout parity -----
+// ------------------------------------------------------------ eager build --
 
-/// Every (r, s) cell must resolve identically under forced-sorted and
-/// forced-direct rows: same presence, kind, clamp, and entry list.
-void expect_same_cells(const FiniteSpec& spec) {
-  const DispatchTable sorted(spec, Layout::kSorted);
-  const DispatchTable direct(spec, Layout::kDirect);
+/// Every (r, s) cell of the eager table must match a brute-force grouping of
+/// `spec.transitions()`: present exactly when the pair has a transition,
+/// deterministic exactly for one rate-1 entry, clamped exactly when the
+/// rates (summed in spec order) reach 1, and entries in spec order.
+void expect_cells_match_spec(const FiniteSpec& spec) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<Transition>> groups;
+  for (const Transition& t : spec.transitions()) {
+    groups[{t.in_receiver, t.in_sender}].push_back(t);
+  }
+  const DispatchTable table(spec);
+  ASSERT_EQ(table.num_states(), spec.num_states());
+  EXPECT_EQ(table.num_cells(), groups.size());
+  EXPECT_EQ(table.num_entries(), spec.transitions().size());
   for (std::uint32_t r = 0; r < spec.num_states(); ++r) {
     for (std::uint32_t s = 0; s < spec.num_states(); ++s) {
-      const Cell a = sorted.find(r, s);
-      const Cell b = direct.find(r, s);
-      ASSERT_EQ(a.present, b.present) << r << "," << s;
-      ASSERT_EQ(a.kind, b.kind);
-      ASSERT_EQ(a.clamp, b.clamp);
-      ASSERT_EQ(a.end - a.begin, b.end - b.begin);
-      for (std::ptrdiff_t i = 0; i < a.end - a.begin; ++i) {
-        ASSERT_EQ(a.begin[i].out_receiver, b.begin[i].out_receiver);
-        ASSERT_EQ(a.begin[i].out_sender, b.begin[i].out_sender);
-        ASSERT_EQ(a.begin[i].rate, b.begin[i].rate);
+      const Cell c = table.find(r, s);
+      const auto it = groups.find({r, s});
+      if (it == groups.end()) {
+        ASSERT_FALSE(c.present) << r << "," << s;
+        ASSERT_EQ(c.kind, Kind::kNull);
+        ASSERT_EQ(c.begin, c.end);
+        continue;
+      }
+      const std::vector<Transition>& want = it->second;
+      double total = 0.0;
+      for (const Transition& t : want) total += t.rate;
+      const Kind kind = want.size() == 1 && want[0].rate >= 1.0 ? Kind::kDeterministic
+                                                                : Kind::kRandomized;
+      ASSERT_TRUE(c.present) << r << "," << s;
+      ASSERT_EQ(c.kind, kind) << r << "," << s;
+      ASSERT_EQ(c.clamp, total >= 1.0) << r << "," << s;
+      ASSERT_EQ(static_cast<std::size_t>(c.end - c.begin), want.size()) << r << "," << s;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(c.begin[i].out_receiver, want[i].out_receiver) << r << "," << s << "#" << i;
+        ASSERT_EQ(c.begin[i].out_sender, want[i].out_sender) << r << "," << s << "#" << i;
+        ASSERT_EQ(c.begin[i].rate, want[i].rate) << r << "," << s << "#" << i;
       }
     }
   }
 }
 
-TEST(DispatchTable, SortedAndDirectRowsResolveIdentically) {
-  expect_same_cells(partition_spec());
+TEST(DispatchTable, EagerCellsMatchBruteForceGrouping) {
+  expect_cells_match_spec(partition_spec());
   const auto proto = log_size_tiny();
   const auto compiled =
       ProtocolCompiler<Bounded<LogSizeEstimation>>(proto, proto.geometric_cap()).compile();
-  expect_same_cells(compiled.spec);
+  expect_cells_match_spec(compiled.spec);
 }
 
-/// The layouts index the same entry storage, so simulator trajectories under
-/// a fixed seed must be bit-identical — the RNG stream never depends on the
-/// row representation.
-template <typename Sim>
-void expect_same_trajectory(const FiniteSpec& spec,
-                            const std::vector<std::pair<std::string, std::uint64_t>>& init,
-                            std::uint64_t seed, std::uint64_t steps, int checkpoints) {
-  Sim a(spec, seed, Layout::kSorted);
-  Sim b(spec, seed, Layout::kDirect);
-  for (const auto& [state, c] : init) {
-    a.set_count(state, c);
-    b.set_count(state, c);
-  }
-  for (int i = 0; i < checkpoints; ++i) {
-    a.steps(steps);
-    b.steps(steps);
-    ASSERT_EQ(a.counts(), b.counts()) << "diverged at checkpoint " << i;
-  }
-}
-
-TEST(DispatchTable, SparseAndDenseTrajectoriesAreBitIdentical) {
-  const auto init =
-      std::vector<std::pair<std::string, std::uint64_t>>{{"X", 50000}};
-  expect_same_trajectory<CountSimulation>(partition_spec(), init, 0xD15, 2000, 10);
-  expect_same_trajectory<BatchedCountSimulation>(partition_spec(), init, 0xD16, 20000, 10);
-}
-
-TEST(DispatchTable, CompiledHeadlineTrajectoriesAreBitIdentical) {
-  const auto proto = log_size_tiny();
-  const auto compiled =
-      ProtocolCompiler<Bounded<LogSizeEstimation>>(proto, proto.geometric_cap()).compile();
-  const auto init = compiled.initial_states();
-  ASSERT_EQ(init.size(), 1u);
-  const std::string seed_state = compiled.spec.name(init[0]);
-  const auto init_counts =
-      std::vector<std::pair<std::string, std::uint64_t>>{{seed_state, 100000}};
-  expect_same_trajectory<CountSimulation>(compiled.spec, init_counts, 0xD17, 5000, 6);
-  expect_same_trajectory<BatchedCountSimulation>(compiled.spec, init_counts, 0xD18,
-                                                 200000, 6);
-}
-
-// ------------------------------------------------------------ row upgrade --
-
-TEST(DispatchTable, SortedRowUpgradesToDirectUnderLoad) {
-  // 512 states keeps kAuto rows sorted until a row's occupancy crosses
-  // S / 8 = 64; filling one row past that exercises the upgrade path.
-  const std::uint32_t s = 512;
+TEST(DispatchTable, EagerCrowdedRowAndOversizeCellMatchBruteForce) {
+  // 512 states; row 3 holds 100 cells, listed out of column order and
+  // interleaved with other rows, some cells holding several entries;
+  // pair (7, 7) holds 5000 entries, more than one 4096-entry arena block.
+  const std::uint32_t n = 512;
   FiniteSpec spec;
-  for (std::uint32_t i = 0; i < s; ++i) spec.add_unnamed_state();
-  for (std::uint32_t j = 0; j < 100; ++j) spec.add(3, (j * 37) % s, j, 0);
-  const DispatchTable table(spec, Layout::kAuto);
+  for (std::uint32_t i = 0; i < n; ++i) spec.add_unnamed_state();
   for (std::uint32_t j = 0; j < 100; ++j) {
-    const Cell c = table.find(3, (j * 37) % s);
-    ASSERT_TRUE(c.present);
-    ASSERT_EQ(c.kind, Kind::kDeterministic);
-    ASSERT_EQ(c.begin->out_receiver, j);
+    const std::uint32_t col = (j * 37) % n;
+    spec.add(3, col, j, 0, j % 3 == 0 ? 1.0 : 0.25);
+    spec.add(5, j, col, 1);
+    if (j % 3 == 1) spec.add(3, col, 1, j, 0.5);
   }
+  for (std::uint32_t k = 0; k < 5000; ++k) spec.add(7, 7, k % n, (k * 7) % n, 1e-4);
+  expect_cells_match_spec(spec);
+  const DispatchTable table(spec);
+  const Cell big = table.find(7, 7);
+  EXPECT_EQ(big.end - big.begin, 5000);
   EXPECT_FALSE(table.find(3, 1).present);  // 1 is not a multiple of 37 mod 512
-  EXPECT_FALSE(table.find(4, 0).present);  // other rows stay empty
-  EXPECT_EQ(table.num_cells(), 100u);
+  EXPECT_FALSE(table.find(4, 0).present);  // rows without transitions stay empty
+}
+
+// ------------------------------------------------------------ golden runs --
+
+/// FNV-1a digest of the configuration vector in id order (eager ids are
+/// fixed by the compiler, so no name mapping is needed).
+std::uint64_t digest_counts(const std::vector<std::uint64_t>& counts) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t c : counts) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (c >> (8 * b)) & 0xFF;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  return digest;
+}
+
+/// Eagerly compiled log_size_tiny, built once for the golden runs.
+const CompileResult<Bounded<LogSizeEstimation>>& tiny_compiled() {
+  static const auto compiled = [] {
+    const auto proto = log_size_tiny();
+    return ProtocolCompiler<Bounded<LogSizeEstimation>>(proto, proto.geometric_cap()).compile();
+  }();
+  return compiled;
+}
+
+/// Put `n` agents in the initial state, then take `checkpoints` runs of
+/// `steps` interactions, folding the configuration digest after each.
+template <typename Sim>
+std::uint64_t run_digest(Sim& sim, std::uint64_t n, std::uint64_t steps, int checkpoints) {
+  const auto init = tiny_compiled().initial_states();
+  EXPECT_EQ(init.size(), 1u);
+  sim.set_count(init[0], n);
+  std::uint64_t digest = 0;
+  for (int i = 0; i < checkpoints; ++i) {
+    sim.steps(steps);
+    digest = digest * 31 + digest_counts(sim.counts());
+  }
+  EXPECT_EQ(sim.interactions(), steps * static_cast<std::uint64_t>(checkpoints));
+  EXPECT_EQ(sim.population_size(), n);
+  return digest;
+}
+
+/// Epoch counters as {epochs, sequential, shuffle, dense}.
+std::vector<std::uint64_t> epoch_paths(const BatchedCountSimulation& sim) {
+  const auto& st = sim.stats();
+  return {st.epochs, st.sequential, st.shuffle, st.dense};
+}
+
+// Pinned per-seed output: no change to the table's layout or to how cells
+// are grouped may move a single sampled bit.
+TEST(DispatchGolden, EagerCountSimulationIsPinned) {
+  CountSimulation sim(tiny_compiled().spec, 0xD17);
+  EXPECT_EQ(run_digest(sim, 100'000, 5'000, 6), 0x2519d0fe3a7bd501ULL);
+}
+
+TEST(DispatchGolden, EagerBatchedSamplersArePinned) {
+  // n = 5·10³ runs mostly agent-by-agent epochs, 2·10⁶ shuffle pairing and
+  // 10¹⁰ the dense contingency scan.
+  BatchedCountSimulation small(tiny_compiled().spec, 0xD18);
+  EXPECT_EQ(run_digest(small, 5'000, 10'000, 6), 0x620dfdf84393e794ULL);
+  EXPECT_EQ(epoch_paths(small), (std::vector<std::uint64_t>{1306, 1298, 4, 4}));
+  BatchedCountSimulation mid(tiny_compiled().spec, 0xD19);
+  EXPECT_EQ(run_digest(mid, 2'000'000, 2'000'000, 6), 0x18f1f1f5ae2f915fULL);
+  EXPECT_EQ(epoch_paths(mid), (std::vector<std::uint64_t>{13479, 0, 13278, 201}));
+  BatchedCountSimulation giant(tiny_compiled().spec, 0xD1A);
+  EXPECT_EQ(run_digest(giant, 10'000'000'000, 50'000'000, 6), 0xea9e48c474f0e3d6ULL);
+  EXPECT_EQ(epoch_paths(giant), (std::vector<std::uint64_t>{4797, 0, 0, 4797}));
 }
 
 }  // namespace

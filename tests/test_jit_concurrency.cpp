@@ -1,5 +1,5 @@
 // Concurrency tests for the sharded JIT (compile/lazy.hpp +
-// sim/shared_dispatch.hpp) and the parallel eager closure
+// sim/dispatch.hpp) and the parallel eager closure
 // (compile/compiler.hpp):
 //
 //   * thread-count invariance — lazy trials at threads = 1, 2, 8 produce

@@ -160,15 +160,31 @@ TEST(LazyCompiledSpec, InitialDistributionMatchesEager) {
   }
 }
 
-TEST(LazyCompiledSpec, PairGuardThrows) {
-  CompileOptions opts;
-  opts.max_pairs = 3;
+/// A JIT guard tripped mid-run must throw out of `advance_time`, not crash.
+template <typename Sim>
+void expect_guard_throws(const CompileOptions& opts) {
   const auto proto = log_size_tiny();
   LazyCompiledSpec<Bounded<LS>> lazy(proto, proto.geometric_cap(), opts);
-  BatchedCountSimulation sim(lazy, 1);
+  Sim sim(lazy, 1);
   Rng seeder(2);
   lazy.seed_initial(sim, 1000, seeder);
   EXPECT_THROW(sim.advance_time(10.0), std::invalid_argument);
+}
+
+TEST(LazyCompiledSpec, PairGuardThrows) {
+  // Two guards: max_pairs = 3 trips in compile_pair's pair count, and
+  // max_states one above the initial states trips when the JIT interns
+  // its second new state.
+  const auto proto = log_size_tiny();
+  CompileOptions pairs;
+  pairs.max_pairs = 3;
+  CompileOptions states;
+  states.max_states =
+      LazyCompiledSpec<Bounded<LS>>(proto, proto.geometric_cap()).num_states() + 1;
+  for (const CompileOptions& opts : {pairs, states}) {
+    expect_guard_throws<BatchedCountSimulation>(opts);
+    expect_guard_throws<CountSimulation>(opts);
+  }
 }
 
 }  // namespace
