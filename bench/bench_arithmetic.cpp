@@ -13,7 +13,7 @@
 #include "harness/table.hpp"
 #include "harness/trials.hpp"
 #include "proto/arithmetic.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/summary.hpp"
 
 int main() {
@@ -35,17 +35,17 @@ int main() {
     const std::uint64_t halve_trials = n >= 8192 ? std::max<std::uint64_t>(2, trials / 4)
                                                  : trials;
     for (std::uint64_t t = 0; t < trials; ++t) {
-      pops::CountSimulation sim(pops::doubling_spec(), pops::trial_seed(0xA21, n + t));
+      pops::BatchedCountSimulation sim(pops::doubling_spec(), pops::trial_seed(0xA21, n + t));
       sim.set_count("x", n / 3);
       sim.set_count("q", n - n / 3);
       dbl.add(sim.run_until(
-          [](const pops::CountSimulation& s) { return s.count("x") == 0; }, 0.25, 1e8));
+          [](const pops::BatchedCountSimulation& s) { return s.count("x") == 0; }, 0.25, 1e8));
     }
     for (std::uint64_t t = 0; t < halve_trials; ++t) {
-      pops::CountSimulation sim(pops::halving_spec(), pops::trial_seed(0xA22, n + t));
+      pops::BatchedCountSimulation sim(pops::halving_spec(), pops::trial_seed(0xA22, n + t));
       sim.set_count("x", n);
       hlv.add(sim.run_until(
-          [](const pops::CountSimulation& s) { return s.count("x") <= 1; }, 0.25, 1e8));
+          [](const pops::BatchedCountSimulation& s) { return s.count("x") <= 1; }, 0.25, 1e8));
     }
     const double nd = static_cast<double>(n);
     table.row({Table::num(n), Table::num(dbl.mean(), 1),

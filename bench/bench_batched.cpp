@@ -1,14 +1,13 @@
-// BATCHED — throughput sweep of the three simulators on the epidemic
-// protocol: per-agent (AgentSimulation<ValueEpidemic>), sequential count
-// (CountSimulation), and batched count (BatchedCountSimulation), across
-// population sizes n = 10^4 … 10^9.
+// BATCHED — throughput sweep of the two engines on the epidemic protocol:
+// per-agent (AgentSimulation<ValueEpidemic>) and batched count
+// (BatchedCountSimulation), across population sizes n = 10^4 … 10^9.
 //
-// The point of the figure: per-agent and sequential-count throughput is flat
-// in n (O(1) and O(log S) per interaction), while batched throughput *grows*
-// with n — Θ(√n) interactions per epoch — which is what makes the paper's
+// The point of the figure: per-agent throughput is flat in n (O(1) per
+// interaction), while batched throughput *grows* with n — Θ(√n)
+// interactions per epoch — which is what makes the paper's
 // n = 10^8–10^12 parallel-time experiments reachable.
 //
-// Output is machine-readable JSON (one result object per simulator × n;
+// Output is machine-readable JSON (one result object per engine × n;
 // batched rows carry a `stats` object — epochs and which batch sampler each
 // took) for BENCH_*.json perf-trajectory tracking:
 //   ./bench_batched [--max-n=N] > BENCH_batched.json
@@ -26,7 +25,6 @@
 #include "proto/epidemic.hpp"
 #include "sim/agent_simulation.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
 
 namespace {
 
@@ -35,15 +33,14 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Seed a fresh epidemic (n-1 susceptible, 1 infected) in any count-API sim.
-template <typename Sim>
-void reset_epidemic(Sim& sim, std::uint64_t n) {
+/// Seed a fresh epidemic (n-1 susceptible, 1 infected).
+void reset_epidemic(pops::BatchedCountSimulation& sim, std::uint64_t n) {
   sim.set_count("S", n - 1);
   sim.set_count("I", 1);
 }
 
-template <typename Sim>
-double run_count_workload(Sim& sim, std::uint64_t n, std::uint64_t interactions) {
+double run_count_workload(pops::BatchedCountSimulation& sim, std::uint64_t n,
+                          std::uint64_t interactions) {
   // Re-seed whenever the epidemic saturates so measured batches stay
   // representative of live dynamics rather than the all-null steady state.
   const auto start = std::chrono::steady_clock::now();
@@ -111,12 +108,6 @@ int main(int argc, char** argv) {
       const auto start = std::chrono::steady_clock::now();
       sim.steps(kSequentialWork);
       emit({"agent", n, kSequentialWork, seconds_since(start)});
-    }
-    {
-      pops::CountSimulation sim(pops::epidemic_spec(), 19);
-      reset_epidemic(sim, n);
-      const double secs = run_count_workload(sim, n, kSequentialWork);
-      emit({"count", n, kSequentialWork, secs});
     }
     {
       pops::BatchedCountSimulation sim(pops::epidemic_spec(), 23);

@@ -3,16 +3,13 @@
 // Pr[T > 24 ln n] < 4 n^{−5}; subpopulation (a = n/3) epidemics complete
 // within 24 ln a w.p. >= 1 − 27 n^{−3} and are a constant factor slower.
 //
-// Runs on `BatchedCountSimulation` (Θ(√n) interactions per RNG epoch) by
-// default, which is what makes the n = 10^5–10^6 rows cheap; pass
-// --sequential to use the per-interaction `CountSimulation` instead (useful
-// for A/B-ing the engines — both are distribution-exact for the same chain).
+// Runs on `BatchedCountSimulation` (Θ(√n) interactions per RNG epoch),
+// which is what makes the n = 10^5–10^6 rows cheap.
 // Trials fan out over threads via run_trials_parallel: per-trial seed
 // streams depend only on (master seed, index), so results are identical
 // whatever the thread count.
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -21,13 +18,13 @@
 #include "harness/trials.hpp"
 #include "proto/epidemic.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
 #include "stats/bounds.hpp"
 #include "stats/summary.hpp"
 
 namespace {
 
-template <typename Sim>
+using Sim = pops::BatchedCountSimulation;
+
 double full_epidemic_time(std::uint64_t n, std::uint64_t seed) {
   Sim sim(pops::epidemic_spec(), seed);
   sim.set_count("S", n - 1);
@@ -35,7 +32,6 @@ double full_epidemic_time(std::uint64_t n, std::uint64_t seed) {
   return sim.run_until([](const Sim& s) { return s.count("S") == 0; }, 0.25, 1e7);
 }
 
-template <typename Sim>
 double subpopulation_epidemic_time(std::uint64_t n, std::uint64_t seed) {
   const std::uint64_t active = n / 3;
   Sim sim(pops::subpopulation_epidemic_spec(), seed);
@@ -45,7 +41,6 @@ double subpopulation_epidemic_time(std::uint64_t n, std::uint64_t seed) {
   return sim.run_until([](const Sim& s) { return s.count("S") == 0; }, 0.25, 1e7);
 }
 
-template <typename Sim>
 void run(std::uint64_t trials, const std::vector<std::uint64_t>& sizes) {
   using pops::Table;
 
@@ -53,7 +48,7 @@ void run(std::uint64_t trials, const std::vector<std::uint64_t>& sizes) {
   for (const auto n : sizes) {
     const auto times = pops::run_trials_parallel(
         trials, 0xE21 + n,
-        [&](std::uint64_t seed, std::uint64_t) { return full_epidemic_time<Sim>(n, seed); });
+        [&](std::uint64_t seed, std::uint64_t) { return full_epidemic_time(n, seed); });
     pops::Summary s;
     std::uint64_t violations = 0;
     const double cap = 24.0 * std::log(static_cast<double>(n));
@@ -74,11 +69,11 @@ void run(std::uint64_t trials, const std::vector<std::uint64_t>& sizes) {
     const std::uint64_t a = n / 3;
     const auto sub_times = pops::run_trials_parallel(
         trials, 0xE22 + n, [&](std::uint64_t seed, std::uint64_t) {
-          return subpopulation_epidemic_time<Sim>(n, seed);
+          return subpopulation_epidemic_time(n, seed);
         });
     const auto full_times = pops::run_trials_parallel(
         trials, 0xE23 + n,
-        [&](std::uint64_t seed, std::uint64_t) { return full_epidemic_time<Sim>(n, seed); });
+        [&](std::uint64_t seed, std::uint64_t) { return full_epidemic_time(n, seed); });
     pops::Summary s, f;
     for (const double v : sub_times) s.add(v);
     for (const double v : full_times) f.add(v);
@@ -94,16 +89,8 @@ void run(std::uint64_t trials, const std::vector<std::uint64_t>& sizes) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool sequential = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sequential") == 0) sequential = true;
-  }
-
+int main() {
   pops::banner("EPI: epidemic completion time vs Lemma A.1 / Corollaries 3.4-3.5");
-  std::cout << "engine: " << (sequential ? "CountSimulation (--sequential)"
-                                         : "BatchedCountSimulation (default)")
-            << "\n";
 
   const std::uint64_t trials = pops::by_scale<std::uint64_t>(10, 40, 100);
   const std::vector<std::uint64_t> sizes = pops::bench_scale() == 0
@@ -111,10 +98,6 @@ int main(int argc, char** argv) {
                                                : std::vector<std::uint64_t>{1000, 10000,
                                                                             100000, 1000000};
 
-  if (sequential) {
-    run<pops::CountSimulation>(trials, sizes);
-  } else {
-    run<pops::BatchedCountSimulation>(trials, sizes);
-  }
+  run(trials, sizes);
   return 0;
 }

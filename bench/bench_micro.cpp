@@ -1,6 +1,6 @@
 // MICRO — google-benchmark microbenchmarks for the simulation substrate:
-// RNG, geometric sampling, pair sampling, Fenwick sampler, and
-// interactions/second of the three main simulators.
+// RNG, geometric sampling, pair sampling, and interactions/second of the
+// agent and batched simulators.
 //
 // Emits machine-readable JSON by default (`--benchmark_format=console` to
 // override) so `BENCH_*.json` perf-trajectory tracking can diff runs:
@@ -16,9 +16,7 @@
 #include "proto/epidemic.hpp"
 #include "sim/agent_simulation.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
 #include "sim/rng.hpp"
-#include "sim/weighted_sampler.hpp"
 #include "stats/geometric.hpp"
 
 namespace {
@@ -56,18 +54,6 @@ void BM_MaxGeometricExact(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxGeometricExact)->Arg(1000)->Arg(1000000);
 
-void BM_WeightedSampler(benchmark::State& state) {
-  pops::WeightedSampler ws(64);
-  pops::Rng rng(6);
-  for (std::size_t i = 0; i < 64; ++i) ws.add(i, 100);
-  for (auto _ : state) {
-    const auto i = ws.sample(rng);
-    ws.add(i, -1);
-    ws.add(i, +1);
-  }
-}
-BENCHMARK(BM_WeightedSampler);
-
 void BM_ValueEpidemicInteractions(benchmark::State& state) {
   pops::AgentSimulation<pops::ValueEpidemic> sim(pops::ValueEpidemic{},
                                                  static_cast<std::uint64_t>(state.range(0)),
@@ -88,17 +74,6 @@ void BM_LogSizeEstimationInteractions(benchmark::State& state) {
       static_cast<double>(sim.interactions()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_LogSizeEstimationInteractions)->Arg(1000)->Arg(100000);
-
-void BM_CountSimulationInteractions(benchmark::State& state) {
-  pops::CountSimulation sim(pops::epidemic_spec(), 9);
-  sim.set_count("S", static_cast<std::uint64_t>(state.range(0)) - 1);
-  sim.set_count("I", 1);
-  for (auto _ : state) sim.steps(1024);
-  state.SetItemsProcessed(static_cast<std::int64_t>(sim.interactions()));
-  state.counters["interactions_per_sec"] = benchmark::Counter(
-      static_cast<double>(sim.interactions()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CountSimulationInteractions)->Arg(1000000);
 
 void BM_BatchedCountSimulationInteractions(benchmark::State& state) {
   pops::BatchedCountSimulation sim(pops::epidemic_spec(), 10);

@@ -10,7 +10,7 @@
 #include "harness/table.hpp"
 #include "harness/trials.hpp"
 #include "proto/partition.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/bounds.hpp"
 #include "stats/summary.hpp"
 
@@ -27,10 +27,10 @@ int main() {
     pops::Summary time, dev;
     std::uint64_t in_third = 0;
     for (std::uint64_t t = 0; t < trials; ++t) {
-      pops::CountSimulation sim(pops::partition_spec(), pops::trial_seed(0x9A2, n + t));
+      pops::BatchedCountSimulation sim(pops::partition_spec(), pops::trial_seed(0x9A2, n + t));
       sim.set_count("X", n);
       const double tt = sim.run_until(
-          [](const pops::CountSimulation& s) { return s.count("X") == 0; }, 0.25, 1e7);
+          [](const pops::BatchedCountSimulation& s) { return s.count("X") == 0; }, 0.25, 1e7);
       time.add(tt);
       const double a = static_cast<double>(sim.count("A"));
       dev.add(std::abs(a - static_cast<double>(n) / 2.0));
@@ -52,9 +52,9 @@ int main() {
     const std::uint64_t tail_trials = pops::by_scale<std::uint64_t>(100, 1000, 5000);
     std::vector<double> devs;
     for (std::uint64_t t = 0; t < tail_trials; ++t) {
-      pops::CountSimulation sim(pops::partition_spec(), pops::trial_seed(0x9A3, t));
+      pops::BatchedCountSimulation sim(pops::partition_spec(), pops::trial_seed(0x9A3, t));
       sim.set_count("X", kN);
-      sim.run_until([](const pops::CountSimulation& s) { return s.count("X") == 0; }, 0.25,
+      sim.run_until([](const pops::BatchedCountSimulation& s) { return s.count("X") == 0; }, 0.25,
                     1e7);
       devs.push_back(
           std::abs(static_cast<double>(sim.count("A")) - static_cast<double>(kN) / 2.0));

@@ -19,7 +19,7 @@
 #include "harness/table.hpp"
 #include "harness/trials.hpp"
 #include "sim/agent_simulation.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/summary.hpp"
 #include "termination/density.hpp"
 #include "termination/producibility.hpp"
@@ -89,7 +89,7 @@ int main() {
   Table density({"n", "|closure|", "t_all_present", "min_count/n_at_t=1",
                  "signal_count/n_at_t=1"});
   for (const auto n : sizes) {
-    pops::CountSimulation sim(spec, pops::trial_seed(0x7E4, n));
+    pops::BatchedCountSimulation sim(spec, pops::trial_seed(0x7E4, n));
     sim.set_count("c0", n);
     const auto result = pops::measure_density_lemma(sim, closure.closure(), 1.0);
     density.row(

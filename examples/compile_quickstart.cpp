@@ -74,8 +74,9 @@ int main() {
   //    LazyCompiledSpec interns states on first contact and compiles a
   //    (receiver, sender) pair the first time the simulator dispatches it —
   //    the run below touches a small slice of the closure and pays only for
-  //    that.  The same object also drives CountSimulation, and the warm
-  //    table is shared across trials via reset().
+  //    that.  The same object also drives the agent-level oracle
+  //    (sim/table_protocol.hpp), and the warm table is shared across trials
+  //    via reset().
   {
     const auto protocol = pops::log_size_c8();
     pops::LazyCompiledSpec<pops::Bounded<pops::LogSizeEstimation>> lazy(

@@ -2,9 +2,9 @@
 // `FiniteSpec` out.
 //
 // The paper states its constructions as per-agent programs over fields
-// (Section 3), but the fast count simulators (sim/count_simulation.hpp,
-// sim/batched_count_simulation.hpp) consume the Section-4 object — a finite
-// transition relation with rate constants.  For any `BoundableProtocol`
+// (Section 3), but the count engine (sim/batched_count_simulation.hpp) and
+// the table oracle (sim/table_protocol.hpp) consume the Section-4 object — a
+// finite transition relation with rate constants.  For any `BoundableProtocol`
 // (compile/bounded.hpp) the translation is mechanical, and this compiler
 // performs it:
 //

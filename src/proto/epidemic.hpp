@@ -6,7 +6,7 @@
 // protocol: logSize2, gr, epoch, sum and the final output all spread this way.
 //
 // Three forms are provided:
-//  * `epidemic_spec()`            — 2-state S/I FiniteSpec for CountSimulation
+//  * `epidemic_spec()`            — 2-state S/I FiniteSpec for the count engine
 //  * `subpopulation_epidemic_spec()` — S/I plus inert bystanders B
 //                                    (Corollary 3.4's epidemic "among n/c")
 //  * `ValueEpidemic`              — agent protocol propagating max of values

@@ -8,7 +8,7 @@
 // `AgentSimulation<P>` works for any protocol satisfying the `AgentProtocol`
 // concept below.  It is the right tool for protocols whose state space grows
 // with n (such as Log-Size-Estimation, whose fields range over Θ(polylog n)
-// values); for constant-state protocols prefer `CountSimulation`.
+// values); for constant-state protocols prefer `BatchedCountSimulation`.
 #pragma once
 
 #include <concepts>

@@ -2,7 +2,7 @@
 //
 // The paper measures protocols in parallel time (= interactions / n), so its
 // convergence figures at n = 10⁸–10¹² need Θ(n polylog n) interactions per
-// trial — hopeless at O(log S) Fenwick work per interaction.  This simulator
+// trial — too many to simulate one at a time.  This simulator
 // uses the batching technique of ppsim (Doty–Severson, CMSB 2021; cf.
 // Berenbrink et al., "Simulating Population Protocols in Sub-Constant Time
 // per Interaction"): between two interactions that touch the same agent,
@@ -59,9 +59,10 @@
 // Truncating an epoch after a fixed number of interactions is also exact —
 // whether a prefix is collision-free depends only on agent identities, which
 // are independent of agent states — so `steps(k)` advances exactly k
-// interactions and the `step/steps/advance_time/run_until` API matches
-// `CountSimulation` precisely; every experiment can switch simulators with a
-// template parameter.
+// interactions, and `step/steps/advance_time/run_until` mean what they mean
+// on `AgentSimulation`.  `AgentSimulation<TableProtocol>`
+// (sim/table_protocol.hpp) steps the same dispatch cells agent by agent and
+// is the exact reference the chi-square suites compare this engine against.
 #pragma once
 
 #include <algorithm>
@@ -134,7 +135,9 @@ class BatchedCountSimulation {
     stats_ = Stats{};
   }
 
-  /// Set the initial count of a state (before stepping).
+  /// Set the count of a state — before stepping or between steps, which
+  /// may change the population size; the next epoch reads the new
+  /// configuration.
   void set_count(const std::string& state, std::uint64_t count) {
     set_count(spec_->id(state), count);
   }
@@ -167,8 +170,7 @@ class BatchedCountSimulation {
   /// One interaction (an epoch truncated to length 1 — still exact).
   void step() { steps(1); }
 
-  /// Advance exactly `k` interactions.  steps(0) is a no-op, as in
-  /// CountSimulation.
+  /// Advance exactly `k` interactions; steps(0) is a no-op.
   void steps(std::uint64_t k) {
     if (k == 0) return;
     POPS_REQUIRE(total_ >= 2, "population too small to interact");
@@ -559,9 +561,12 @@ class BatchedCountSimulation {
     }
   }
 
-  /// Dispatch lookup with the JIT fallback (see CountSimulation::lookup).
-  /// State growth is synced after our own compiles; cells compiled by
-  /// *other* threads sharing the JIT source are caught by `touch`'s guard.
+  /// Dispatch lookup with the JIT fallback: an unregistered pair under a
+  /// JIT source is compiled in place (possibly interning new states) and
+  /// looked up again.  Compilation consumes no simulation randomness, so
+  /// JIT runs are deterministic under a fixed seed.  State growth is synced
+  /// after our own compiles; cells compiled by *other* threads sharing the
+  /// JIT source are caught by `touch`'s guard.
   DispatchTable::Cell lookup(std::uint32_t receiver, std::uint32_t sender) {
     DispatchTable::Cell cell = table_->find(receiver, sender);
     if (!cell.present && jit_ != nullptr) {

@@ -4,7 +4,7 @@
 // rate constants: a,b →ρ c,d means that when (receiver a, sender b) interact,
 // with probability ρ they become (c, d).  `FiniteSpec` is that object made
 // concrete: named states plus a list of randomized transitions.  It backs
-//   * `CountSimulation` (exact simulation of the configuration vector), and
+//   * `BatchedCountSimulation` (exact simulation of the configuration vector), and
 //   * `producibility` (the Λ^m_ρ closure used by Theorem 4.1 / Lemma 4.2).
 #pragma once
 

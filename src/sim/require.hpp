@@ -31,8 +31,7 @@ namespace pops {
 
 namespace pops {
 
-/// Count simulators keep their population below 2⁶³: the Fenwick sampler
-/// moves counts by signed 64-bit deltas, and the batched collision draw
+/// The count engine keeps its population below 2⁶³: its collision draw
 /// needs 2n to fit 64 bits.
 inline constexpr std::uint64_t kMaxPopulation = std::uint64_t{1} << 63;
 

@@ -1,4 +1,4 @@
-// The JIT hook of the count simulators.
+// The JIT hook of the simulators that step a dispatch table.
 //
 // The dispatch table itself, eager or growing, is `DispatchTable`
 // (sim/dispatch.hpp).  `ConcurrentDispatchTable` is kept only as another
@@ -16,11 +16,12 @@ namespace pops {
 
 using ConcurrentDispatchTable = DispatchTable;
 
-/// JIT source consumed by the count simulators: compiles (receiver, sender)
-/// pairs on first contact, extending `table()` and possibly interning new
-/// states (growing `table().num_states()` and `spec()`'s name registry).
-/// Implemented by `LazyCompiledSpec` (compile/lazy.hpp); simulators call
-/// `compile_pair` exactly when `find` reports an unregistered pair.
+/// JIT source consumed by `BatchedCountSimulation` and `TableProtocol`:
+/// compiles (receiver, sender) pairs on first contact, extending `table()`
+/// and possibly interning new states (growing `table().num_states()` and
+/// `spec()`'s name registry).  Implemented by `LazyCompiledSpec`
+/// (compile/lazy.hpp); simulators call `compile_pair` exactly when `find`
+/// reports an unregistered pair.
 /// `compile_pair` is internally synchronized (sharded by receiver id) and
 /// may be called from any number of simulator threads; losing a compile
 /// race is fine — the winner's cell is found on re-lookup.

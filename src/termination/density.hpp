@@ -4,9 +4,9 @@
 // A configuration ~c is α-dense when every state present occupies at least αn
 // agents.  Lemma 4.2: from any sufficiently large α-dense configuration,
 // every state in Λ^m_ρ reaches count >= δn within parallel time 1, w.p.
-// >= 1 − 2^{−εn}.  `measure_density_lemma` runs that experiment on a
-// CountSimulation and reports the minimum count each closure state attained
-// by the deadline.
+// >= 1 − 2^{−εn}.  `measure_density_lemma` runs that experiment on any
+// count-API simulator and reports the minimum count each closure state
+// attained by the deadline.
 #pragma once
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <set>
 #include <vector>
 
-#include "sim/count_simulation.hpp"
 #include "sim/finite_spec.hpp"
 #include "termination/producibility.hpp"
 
@@ -44,10 +43,9 @@ struct DensityLemmaResult {
 
 /// Run from the configuration currently loaded in `sim` for `deadline`
 /// parallel time and measure counts of all states in `closure`.
-inline DensityLemmaResult measure_density_lemma(CountSimulation& sim,
-                                                const std::set<std::uint32_t>& closure,
-                                                double deadline = 1.0,
-                                                double check_dt = 0.01) {
+template <typename Sim>
+DensityLemmaResult measure_density_lemma(Sim& sim, const std::set<std::uint32_t>& closure,
+                                         double deadline = 1.0, double check_dt = 0.01) {
   DensityLemmaResult result;
   const auto n = static_cast<double>(sim.population_size());
   while (sim.time() < deadline) {

@@ -6,7 +6,7 @@
 
 #include "harness/trials.hpp"
 #include "proto/arithmetic.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/summary.hpp"
 
 namespace pops {
@@ -14,20 +14,20 @@ namespace {
 
 double run_doubling(std::uint64_t x, std::uint64_t q, std::uint64_t seed,
                     std::uint64_t* result) {
-  CountSimulation sim(doubling_spec(), seed);
+  BatchedCountSimulation sim(doubling_spec(), seed);
   sim.set_count("x", x);
   sim.set_count("q", q);
   const double t = sim.run_until(
-      [](const CountSimulation& s) { return s.count("x") == 0; }, 0.25, 1e7);
+      [](const BatchedCountSimulation& s) { return s.count("x") == 0; }, 0.25, 1e7);
   *result = sim.count("y");
   return t;
 }
 
 double run_halving(std::uint64_t x, std::uint64_t seed, std::uint64_t* result) {
-  CountSimulation sim(halving_spec(), seed);
+  BatchedCountSimulation sim(halving_spec(), seed);
   sim.set_count("x", x);
   const double t = sim.run_until(
-      [](const CountSimulation& s) { return s.count("x") <= 1; }, 0.25, 1e7);
+      [](const BatchedCountSimulation& s) { return s.count("x") <= 1; }, 0.25, 1e7);
   *result = sim.count("y");
   return t;
 }
@@ -51,9 +51,9 @@ TEST(Arithmetic, HalvingComputesFloorXOverTwo) {
 }
 
 TEST(Arithmetic, HalvingLeavesOddRemainder) {
-  CountSimulation sim(halving_spec(), 7);
+  BatchedCountSimulation sim(halving_spec(), 7);
   sim.set_count("x", 7);
-  ASSERT_GE(sim.run_until([](const CountSimulation& s) { return s.count("x") <= 1; }, 0.25,
+  ASSERT_GE(sim.run_until([](const BatchedCountSimulation& s) { return s.count("x") <= 1; }, 0.25,
                           1e7),
             0.0);
   EXPECT_EQ(sim.count("x"), 1u);  // odd leftover never reacts
@@ -88,10 +88,10 @@ TEST(Arithmetic, DoublingIsLogarithmicHalvingIsLinear) {
 }
 
 TEST(Arithmetic, CopyConvertsEveryX) {
-  CountSimulation sim(copy_spec(), 9);
+  BatchedCountSimulation sim(copy_spec(), 9);
   sim.set_count("x", 50);
   sim.set_count("q", 50);
-  ASSERT_GE(sim.run_until([](const CountSimulation& s) { return s.count("x") == 0; }, 0.25,
+  ASSERT_GE(sim.run_until([](const BatchedCountSimulation& s) { return s.count("x") == 0; }, 0.25,
                           1e6),
             0.0);
   EXPECT_EQ(sim.count("y"), 50u);

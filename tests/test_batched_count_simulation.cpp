@@ -1,7 +1,9 @@
 // Tests for the batched count simulator: API behavior, exact interaction
 // accounting, and — the load-bearing property — distributional equivalence
-// with the sequential CountSimulation at fixed parallel time, via two-sample
-// chi-square tests on the final configuration across many trials.
+// with the agent-level table oracle (`AgentSimulation<TableProtocol>`,
+// sim/table_protocol.hpp) at fixed parallel time, via two-sample chi-square
+// tests on the final configuration across many trials.  The oracle's own
+// tests come first.
 //
 // (The equivalence protocols are the epidemic and the 3-state majority
 // protocol — the count-level core of the uniform-majority construction; the
@@ -18,7 +20,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "compile/headline.hpp"
@@ -27,7 +28,7 @@
 #include "proto/epidemic.hpp"
 #include "proto/semilinear.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/table_protocol.hpp"
 #include "stats/chi_square.hpp"
 
 namespace pops {
@@ -60,13 +61,12 @@ TEST(BatchedCountSimulation, StepsAdvancesExactInteractionCount) {
   EXPECT_EQ(sim.interactions(), 1ull + 2 + 17 + 1000 + 123457 + 25000);
 }
 
-/// Both count simulators keep the population below 2⁶³: set_count rejects a
-/// total at or above it, leaves the configuration untouched when it does,
-/// and a population just under the ceiling still steps.
-template <typename Sim>
-void expect_population_ceiling() {
+TEST(BatchedCountSimulation, SetCountRejectsPopulationOf2To63) {
+  // set_count rejects a total at or above 2⁶³, leaves the configuration
+  // untouched when it does, and a population just under the ceiling still
+  // steps.
   constexpr std::uint64_t kHalf = std::uint64_t{1} << 62;
-  Sim sim(epidemic_spec(), 3);
+  BatchedCountSimulation sim(epidemic_spec(), 3);
   sim.set_count("S", kHalf);
   EXPECT_THROW(sim.set_count("I", kHalf), std::invalid_argument);  // total 2⁶³
   EXPECT_THROW(sim.set_count("I", ~std::uint64_t{0}), std::invalid_argument);
@@ -80,9 +80,55 @@ void expect_population_ceiling() {
   EXPECT_EQ(sim.interactions(), 1000u);
 }
 
-TEST(CountSimulations, SetCountRejectsPopulationOf2To63) {
-  expect_population_ceiling<CountSimulation>();
-  expect_population_ceiling<BatchedCountSimulation>();
+/// Step `k` interactions and check the exact invariants: interactions()
+/// advanced by k, and the counts — none wrapped below zero — sum to n.
+void expect_steps_conserve(BatchedCountSimulation& sim, std::uint64_t n, std::uint64_t k) {
+  const std::uint64_t before = sim.interactions();
+  sim.steps(k);
+  EXPECT_EQ(sim.interactions(), before + k);
+  EXPECT_EQ(sim.population_size(), n);
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : sim.counts()) {
+    EXPECT_LE(c, n);
+    total += c;
+  }
+  EXPECT_EQ(total, n);
+}
+
+TEST(BatchedCountSimulation, SetCountBetweenStepsMayChangePopulation) {
+  // Each set_count after stepping changes n, which re-keys the cached
+  // survival constants; n = 10⁹ moves the epochs onto the dense path.
+  BatchedCountSimulation sim(epidemic_spec(), 31);
+  sim.set_count("S", 999);
+  sim.set_count("I", 1);
+  for (const std::uint64_t k : {1ull, 40ull, 3000ull}) expect_steps_conserve(sim, 1000, k);
+  sim.set_count("S", 1'000'000'000);
+  const std::uint64_t grown = 1'000'000'000 + sim.count("I");
+  for (const std::uint64_t k : {1ull, 40ull, 300000ull}) expect_steps_conserve(sim, grown, k);
+  sim.set_count("I", 7);
+  const std::uint64_t shrunk = sim.count("S") + 7;
+  for (const std::uint64_t k : {1ull, 40ull, 300000ull}) expect_steps_conserve(sim, shrunk, k);
+  EXPECT_GT(sim.stats().dense, 0u);
+}
+
+TEST(BatchedCountSimulation, JitSetCountBetweenStepsMayChangePopulation) {
+  // Lazy log-size estimation at n = 5·10³ runs mostly agent-by-agent
+  // epochs; re-seeding mid-run grows n, then empties the largest class.
+  const auto proto = log_size_tiny();
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
+  BatchedCountSimulation sim(lazy, 32);
+  Rng seeder(33);
+  lazy.seed_initial(sim, 5'000, seeder);
+  for (const std::uint64_t k : {1ull, 40ull, 30000ull}) expect_steps_conserve(sim, 5'000, k);
+  sim.set_count(0, sim.count(0) + 20'000);
+  for (const std::uint64_t k : {1ull, 40ull, 30000ull}) expect_steps_conserve(sim, 25'000, k);
+  const auto counts = sim.counts();
+  const auto largest = static_cast<std::uint32_t>(
+      std::max_element(counts.begin(), counts.end()) - counts.begin());
+  const std::uint64_t shrunk = 25'000 - counts[largest];
+  sim.set_count(largest, 0);
+  for (const std::uint64_t k : {1ull, 40ull, 30000ull}) expect_steps_conserve(sim, shrunk, k);
+  EXPECT_GT(sim.stats().sequential, 0u);
 }
 
 TEST(BatchedCountSimulation, EpidemicCompletes) {
@@ -130,13 +176,34 @@ TEST(BatchedCountSimulation, StepRequiresTwoAgents) {
   BatchedCountSimulation sim(spec, 1);
   sim.set_count("a", 1);
   EXPECT_THROW(sim.step(), std::invalid_argument);
+  EXPECT_THROW(sim.steps(1000), std::invalid_argument);
+  EXPECT_EQ(sim.interactions(), 0u);
+}
+
+TEST(BatchedCountSimulation, RandomizedTransitionRatesRespected) {
+  // a,b -> c,b with rate 0.25 from 1 a and 9 b: a step meets (a, b) with
+  // probability 2 · 1 · 9 / (10 · 9) = 0.2 and converts with 0.05, so the
+  // steps to conversion are geometric with mean 20.  Every step is a
+  // one-interaction epoch.
+  FiniteSpec spec;
+  spec.add_symmetric("a", "b", "c", "b", 0.25);
+  double total_steps = 0.0;
+  constexpr int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    BatchedCountSimulation sim(spec, 100 + trial);
+    sim.set_count("a", 1);
+    sim.set_count("b", 9);
+    while (sim.count("c") == 0) sim.step();
+    total_steps += static_cast<double>(sim.interactions());
+  }
+  EXPECT_NEAR(total_steps / kTrials, 20.0, 3.0);
 }
 
 TEST(BatchedCountSimulation, RandomizedRatesRespected) {
   // Lazy epidemic (rate 0.25): infection spreads at a quarter of the pace,
   // so after fixed parallel time the infected count must sit between the
   // all-null and rate-1.0 extremes; mean conversion count checked against
-  // the sequential simulator in the equivalence tests below.  (Ten initial
+  // the table oracle in the equivalence tests below.  (Ten initial
   // carriers: a single carrier goes untouched for 4 parallel time units in
   // ~10% of runs — seed-sensitive either way — while ten all idling is a
   // 10^-10 event.)
@@ -151,44 +218,104 @@ TEST(BatchedCountSimulation, RandomizedRatesRespected) {
 }
 
 // ------------------------------------------------------------------------
-// Distributional equivalence: batched and sequential simulators must induce
-// statistically indistinguishable configuration distributions.
+// The table oracle itself: AgentSimulation<TableProtocol>.
 // ------------------------------------------------------------------------
 
-/// Final-configuration histogram keyed by the counts of the `observed`
-/// states (mixed radix n + 1) after `interactions` interactions, run as
-/// `steps(chunk)` calls — each call truncates its epochs at the chunk; 0
-/// runs them in one call.  For the batched simulator, `sequential_epochs`
-/// accumulates how many epochs took the short-epoch sampler.
-template <typename Sim>
+TEST(TableProtocol, RandomizedRatesRespected) {
+  // The residual-mass cell of RandomizedTransitionRatesRespected, agent by
+  // agent: 1 a among 10 agents converts after 20 steps on average.
+  FiniteSpec spec;
+  spec.add_symmetric("a", "b", "c", "b", 0.25);
+  const TableProtocol proto(spec);
+  double total_steps = 0.0;
+  constexpr int kTrials = 300;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    AgentSimulation<TableProtocol> sim(proto, 10, 100 + trial);  // all in state 0 = a
+    for (std::uint64_t i = 1; i < 10; ++i) sim.set_state(i, spec.id("b"));
+    while (state_counts(sim)[spec.id("c")] == 0) sim.step();
+    total_steps += static_cast<double>(sim.interactions());
+  }
+  EXPECT_NEAR(total_steps / kTrials, 20.0, 3.0);
+}
+
+TEST(TableProtocol, JitInternsStatesAndTrippedGuardThrows) {
+  const auto proto = log_size_tiny();
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> lazy(proto, proto.geometric_cap());
+  ASSERT_EQ(lazy.num_states(), 1u);  // just the initial X state, id 0
+  AgentSimulation<TableProtocol> sim(TableProtocol(lazy), 5000, 0x5EED);
+  sim.steps(200000);
+  EXPECT_GT(lazy.num_states(), 20u);
+  std::uint64_t total = 0;
+  for (const auto c : state_counts(sim)) total += c;
+  EXPECT_EQ(total, 5000u);
+
+  CompileOptions opts;
+  opts.max_pairs = 3;
+  LazyCompiledSpec<Bounded<LogSizeEstimation>> guarded(proto, proto.geometric_cap(), opts);
+  AgentSimulation<TableProtocol> tripped(TableProtocol(guarded), 1000, 1);
+  EXPECT_THROW(tripped.advance_time(10.0), std::invalid_argument);
+}
+
+// ------------------------------------------------------------------------
+// Distributional equivalence: the batched engine and the table oracle must
+// induce statistically indistinguishable configuration distributions.
+// ------------------------------------------------------------------------
+
+using Init = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// Histogram key: the counts of the `observed` states in mixed radix n + 1.
+std::uint64_t observed_key(const FiniteSpec& spec, const std::vector<std::uint64_t>& counts,
+                           const std::vector<std::string>& observed, std::uint64_t n) {
+  std::uint64_t key = 0;
+  for (const auto& state : observed) key = key * (n + 1) + counts[spec.id(state)];
+  return key;
+}
+
+/// Batched final-configuration histogram after `interactions` interactions,
+/// run as `steps(chunk)` calls — each call truncates its epochs at the
+/// chunk; 0 runs them in one call.  `sequential_epochs` accumulates how
+/// many epochs took the short-epoch sampler.
 std::map<std::uint64_t, std::uint64_t> final_count_histogram(
-    const FiniteSpec& spec, const std::vector<std::pair<std::string, std::uint64_t>>& init,
-    const std::vector<std::string>& observed, std::uint64_t interactions,
-    std::uint64_t trials, std::uint64_t master_seed, std::uint64_t chunk = 0,
-    std::uint64_t* sequential_epochs = nullptr) {
+    const FiniteSpec& spec, const Init& init, const std::vector<std::string>& observed,
+    std::uint64_t interactions, std::uint64_t trials, std::uint64_t master_seed,
+    std::uint64_t chunk = 0, std::uint64_t* sequential_epochs = nullptr) {
   if (chunk == 0) chunk = interactions;
   std::map<std::uint64_t, std::uint64_t> histogram;
   for (std::uint64_t i = 0; i < trials; ++i) {
-    Sim sim(spec, trial_seed(master_seed, i));
+    BatchedCountSimulation sim(spec, trial_seed(master_seed, i));
     for (const auto& [state, c] : init) sim.set_count(state, c);
     for (std::uint64_t done = 0; done < interactions; done += chunk) {
       sim.steps(std::min(chunk, interactions - done));
     }
-    std::uint64_t key = 0;
-    for (const auto& state : observed) {
-      key = key * (sim.population_size() + 1) + sim.count(state);
-    }
-    ++histogram[key];
-    if constexpr (std::is_same_v<Sim, BatchedCountSimulation>) {
-      if (sequential_epochs != nullptr) *sequential_epochs += sim.stats().sequential;
-    }
+    ++histogram[observed_key(spec, sim.counts(), observed, sim.population_size())];
+    if (sequential_epochs != nullptr) *sequential_epochs += sim.stats().sequential;
   }
   return histogram;
 }
 
-void expect_equivalent(const std::map<std::uint64_t, std::uint64_t>& sequential,
+/// The same histogram on the table oracle, one table shared by all trials.
+std::map<std::uint64_t, std::uint64_t> oracle_count_histogram(
+    const FiniteSpec& spec, const Init& init, const std::vector<std::string>& observed,
+    std::uint64_t interactions, std::uint64_t trials, std::uint64_t master_seed) {
+  const TableProtocol proto(spec);
+  std::uint64_t n = 0;
+  for (const auto& [state, c] : init) n += c;
+  std::map<std::uint64_t, std::uint64_t> histogram;
+  for (std::uint64_t i = 0; i < trials; ++i) {
+    AgentSimulation<TableProtocol> sim(proto, n, trial_seed(master_seed, i));
+    std::uint64_t agent = 0;
+    for (const auto& [state, c] : init) {
+      for (std::uint64_t k = 0; k < c; ++k) sim.set_state(agent++, spec.id(state));
+    }
+    sim.steps(interactions);
+    ++histogram[observed_key(spec, state_counts(sim), observed, n)];
+  }
+  return histogram;
+}
+
+void expect_equivalent(const std::map<std::uint64_t, std::uint64_t>& oracle,
                        const std::map<std::uint64_t, std::uint64_t>& batched) {
-  const auto verdict = two_sample_chi_square(sequential, batched);
+  const auto verdict = two_sample_chi_square(oracle, batched);
   EXPECT_TRUE(verdict.accept())
       << "chi-square " << verdict.statistic << " at df " << verdict.df
       << " (critical " << chi_square_critical(verdict.df) << ")";
@@ -197,20 +324,20 @@ void expect_equivalent(const std::map<std::uint64_t, std::uint64_t>& sequential,
 TEST(BatchedEquivalence, EpidemicConfigurationDistribution) {
   // 300 agents to parallel time 2.
   const auto spec = epidemic_spec();
-  const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 295}, {"I", 5}};
+  const Init init{{"S", 295}, {"I", 5}};
   expect_equivalent(
-      final_count_histogram<CountSimulation>(spec, init, {"I"}, 600, 4000, 0xAAA1),
-      final_count_histogram<BatchedCountSimulation>(spec, init, {"I"}, 600, 4000, 0xBBB2));
+      oracle_count_histogram(spec, init, {"I"}, 600, 4000, 0xAAA1),
+      final_count_histogram(spec, init, {"I"}, 600, 4000, 0xBBB2));
 }
 
 TEST(BatchedEquivalence, MajorityConfigurationDistribution) {
   // 3-state majority on a 160/140 split, observed at 3 parallel time units
   // (mid-convergence, where distributional differences would show).
   const auto spec = approximate_majority_spec();
-  const std::vector<std::pair<std::string, std::uint64_t>> init{{"x", 160}, {"y", 140}};
+  const Init init{{"x", 160}, {"y", 140}};
   expect_equivalent(
-      final_count_histogram<CountSimulation>(spec, init, {"x"}, 900, 4000, 0xCCC3),
-      final_count_histogram<BatchedCountSimulation>(spec, init, {"x"}, 900, 4000, 0xDDD4));
+      oracle_count_histogram(spec, init, {"x"}, 900, 4000, 0xCCC3),
+      final_count_histogram(spec, init, {"x"}, 900, 4000, 0xDDD4));
 }
 
 TEST(BatchedEquivalence, RandomizedRateConfigurationDistribution) {
@@ -218,20 +345,20 @@ TEST(BatchedEquivalence, RandomizedRateConfigurationDistribution) {
   // (300 agents to parallel time 3).
   FiniteSpec spec;
   spec.add_symmetric("S", "I", "I", "I", 0.3);
-  const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 290}, {"I", 10}};
+  const Init init{{"S", 290}, {"I", 10}};
   expect_equivalent(
-      final_count_histogram<CountSimulation>(spec, init, {"I"}, 900, 4000, 0xEEE5),
-      final_count_histogram<BatchedCountSimulation>(spec, init, {"I"}, 900, 4000, 0xFFF6));
+      oracle_count_histogram(spec, init, {"I"}, 900, 4000, 0xEEE5),
+      final_count_histogram(spec, init, {"I"}, 900, 4000, 0xFFF6));
 }
 
 TEST(BatchedEquivalence, TinyPopulationDistribution) {
   // n = 4 stresses every edge of the collision machinery (forced collisions,
   // empty untouched pools) where an off-by-one would skew the distribution.
   const auto spec = epidemic_spec();
-  const std::vector<std::pair<std::string, std::uint64_t>> init{{"S", 3}, {"I", 1}};
+  const Init init{{"S", 3}, {"I", 1}};
   expect_equivalent(
-      final_count_histogram<CountSimulation>(spec, init, {"I"}, 6, 6000, 0x1111),
-      final_count_histogram<BatchedCountSimulation>(spec, init, {"I"}, 6, 6000, 0x2222));
+      oracle_count_histogram(spec, init, {"I"}, 6, 6000, 0x1111),
+      final_count_histogram(spec, init, {"I"}, 6, 6000, 0x2222));
 }
 
 // ------------------------------------------------------------------------
@@ -255,23 +382,23 @@ FiniteSpec randomized_cycle_spec() {
   return spec;
 }
 
-TEST(BatchedSequentialPath, RandomizedCellsMatchCountSimulation) {
+TEST(BatchedSequentialPath, RandomizedCellsMatchAgentOracle) {
   // n = 300: √(πn/8) ≈ 10.9 < 3 · occupancy whenever four or more of the
   // five classes are occupied.
   const auto spec = randomized_cycle_spec();
-  const std::vector<std::pair<std::string, std::uint64_t>> init{
+  const Init init{
       {"a", 100}, {"b", 80}, {"c", 60}, {"d", 40}, {"e", 20}};
   const std::vector<std::string> observed{"a", "c"};
   std::uint64_t sequential_epochs = 0;
-  const auto reference = final_count_histogram<CountSimulation>(
+  const auto reference = oracle_count_histogram(
       spec, init, observed, 900, 4000, 0x5E01);
-  const auto batched = final_count_histogram<BatchedCountSimulation>(
+  const auto batched = final_count_histogram(
       spec, init, observed, 900, 4000, 0x5E02, 0, &sequential_epochs);
   EXPECT_GT(sequential_epochs, 0u);
   expect_equivalent(reference, batched);
 }
 
-TEST(BatchedSequentialPath, SingletonClassesMatchCountSimulation) {
+TEST(BatchedSequentialPath, SingletonClassesMatchAgentOracle) {
   // n = 8 agents in eight singleton classes: nearly every draw after the
   // first lands on an agent already in the batch and is redrawn, and a
   // collision-free run can use all 2t = n agents.
@@ -283,31 +410,31 @@ TEST(BatchedSequentialPath, SingletonClassesMatchCountSimulation) {
                "s" + std::to_string((i + j + 1) / 2), "s" + std::to_string((i + j) / 2));
     }
   }
-  std::vector<std::pair<std::string, std::uint64_t>> init;
+  Init init;
   for (int i = 0; i < 8; ++i) init.emplace_back("s" + std::to_string(i), 1);
   const std::vector<std::string> observed{"s2", "s3", "s4", "s5"};
   std::uint64_t sequential_epochs = 0;
-  const auto reference = final_count_histogram<CountSimulation>(
+  const auto reference = oracle_count_histogram(
       spec, init, observed, 6, 6000, 0x5E03);
-  const auto batched = final_count_histogram<BatchedCountSimulation>(
+  const auto batched = final_count_histogram(
       spec, init, observed, 6, 6000, 0x5E04, 0, &sequential_epochs);
   EXPECT_GT(sequential_epochs, 0u);
   expect_equivalent(reference, batched);
 }
 
-TEST(BatchedSequentialPath, TruncatedEpochsMatchCountSimulation) {
+TEST(BatchedSequentialPath, TruncatedEpochsMatchAgentOracle) {
   // steps(1) runs single-interaction epochs; steps(3) truncates at 3, so
   // roughly one epoch in five ends in a collision resolved after a
   // sequential prefix (n = 60: P(L > 3) ≈ 0.81).
   const auto spec = randomized_cycle_spec();
-  const std::vector<std::pair<std::string, std::uint64_t>> init{
+  const Init init{
       {"a", 20}, {"b", 16}, {"c", 12}, {"d", 8}, {"e", 4}};
   const std::vector<std::string> observed{"a", "c"};
-  const auto reference = final_count_histogram<CountSimulation>(
+  const auto reference = oracle_count_histogram(
       spec, init, observed, 120, 4000, 0x5E05);
   for (const std::uint64_t chunk : {1ull, 3ull}) {
     std::uint64_t sequential_epochs = 0;
-    const auto batched = final_count_histogram<BatchedCountSimulation>(
+    const auto batched = final_count_histogram(
         spec, init, observed, 120, 4000, 0x5E06 + chunk, chunk, &sequential_epochs);
     EXPECT_GT(sequential_epochs, 0u) << "chunk " << chunk;
     expect_equivalent(reference, batched);

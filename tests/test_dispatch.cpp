@@ -1,8 +1,8 @@
 // Tests for the dispatch table (sim/dispatch.hpp): cell classification, the
 // pick() residual clamp, the eager build checked cell by cell against a
 // brute-force grouping of the spec (crowded rows and oversize cells
-// included), and per-seed golden trajectories of both count simulators on
-// an eagerly compiled spec.
+// included), and per-seed golden trajectories of the batched engine's three
+// samplers on an eagerly compiled spec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "compile/headline.hpp"
 #include "proto/partition.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
 #include "sim/dispatch.hpp"
 
 namespace pops {
@@ -211,8 +210,8 @@ const CompileResult<Bounded<LogSizeEstimation>>& tiny_compiled() {
 
 /// Put `n` agents in the initial state, then take `checkpoints` runs of
 /// `steps` interactions, folding the configuration digest after each.
-template <typename Sim>
-std::uint64_t run_digest(Sim& sim, std::uint64_t n, std::uint64_t steps, int checkpoints) {
+std::uint64_t run_digest(BatchedCountSimulation& sim, std::uint64_t n, std::uint64_t steps,
+                         int checkpoints) {
   const auto init = tiny_compiled().initial_states();
   EXPECT_EQ(init.size(), 1u);
   sim.set_count(init[0], n);
@@ -234,11 +233,6 @@ std::vector<std::uint64_t> epoch_paths(const BatchedCountSimulation& sim) {
 
 // Pinned per-seed output: no change to the table's layout or to how cells
 // are grouped may move a single sampled bit.
-TEST(DispatchGolden, EagerCountSimulationIsPinned) {
-  CountSimulation sim(tiny_compiled().spec, 0xD17);
-  EXPECT_EQ(run_digest(sim, 100'000, 5'000, 6), 0x2519d0fe3a7bd501ULL);
-}
-
 TEST(DispatchGolden, EagerBatchedSamplersArePinned) {
   // n = 5·10³ runs mostly agent-by-agent epochs, 2·10⁶ shuffle pairing and
   // 10¹⁰ the dense contingency scan.

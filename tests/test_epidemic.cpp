@@ -6,7 +6,7 @@
 
 #include "harness/trials.hpp"
 #include "proto/epidemic.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/bounds.hpp"
 #include "stats/summary.hpp"
 
@@ -14,11 +14,11 @@ namespace pops {
 namespace {
 
 double epidemic_completion_time(std::uint64_t n, std::uint64_t seed) {
-  CountSimulation sim(epidemic_spec(), seed);
+  BatchedCountSimulation sim(epidemic_spec(), seed);
   sim.set_count("S", n - 1);
   sim.set_count("I", 1);
   const double t = sim.run_until(
-      [](const CountSimulation& s) { return s.count("S") == 0; }, 0.5, 1e6);
+      [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 0.5, 1e6);
   EXPECT_GE(t, 0.0);
   return t;
 }
@@ -63,12 +63,12 @@ TEST(Epidemic, SubpopulationSlowdownCorollary34) {
   constexpr std::uint64_t kN = 1500;
   constexpr std::uint64_t kActive = kN / 3;
   const auto times = run_trials(30, 19, [](std::uint64_t seed, std::uint64_t) {
-    CountSimulation sim(subpopulation_epidemic_spec(), seed);
+    BatchedCountSimulation sim(subpopulation_epidemic_spec(), seed);
     sim.set_count("S", kActive - 1);
     sim.set_count("I", 1);
     sim.set_count("B", kN - kActive);
     const double t = sim.run_until(
-        [](const CountSimulation& s) { return s.count("S") == 0; }, 0.5, 1e6);
+        [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 0.5, 1e6);
     EXPECT_GE(t, 0.0);
     return t;
   });

@@ -9,8 +9,9 @@
 //   * shard contention — 8 threads compiling disjoint pair sets through
 //     compile_pair directly, checked cell-by-cell against a single-threaded
 //     reference table;
-//   * concurrent mixed simulators — batched + sequential simulators stepping
-//     one shared warm-ish table from many threads while it still compiles;
+//   * concurrent mixed simulators — batched engines and agent-level table
+//     oracles (AgentSimulation<TableProtocol>) stepping one shared warm-ish
+//     table from many threads while it still compiles;
 //   * eager determinism — ProtocolCompiler::compile(t) is bit-identical
 //     (names, transitions, distribution, counters) for every thread count.
 //
@@ -38,7 +39,7 @@
 #include "harness/equivalence.hpp"
 #include "harness/trials.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/table_protocol.hpp"
 
 namespace pops {
 namespace {
@@ -193,10 +194,9 @@ TEST_F(JitConcurrency, MixedSimulatorsShareOneGrowingTable) {
         sim.advance_time(25.0);
         totals[t] = sim.population_size();
       } else {
-        CountSimulation sim(lazy, 0xAB + t);
-        sim.set_count(0, 3000);
+        AgentSimulation<TableProtocol> sim(TableProtocol(lazy), 3000, 0xAB + t);
         sim.steps(120000);
-        totals[t] = sim.population_size();
+        for (const auto c : state_counts(sim)) totals[t] += c;
       }
     });
   }

@@ -1,8 +1,9 @@
 // Tests for the lazy/JIT compilation path (compile/lazy.hpp): the lazily
 // interned state set must be a subset of the eager closure with identical
 // transitions on every touched pair, lazy runs must be deterministic, and
-// both count simulators must drive the JIT hook correctly (including state
-// growth mid-run).
+// the batched engine must drive the JIT hook correctly (including state
+// growth mid-run).  The table oracle's JIT mode is tested next to its eager
+// mode (tests/test_batched_count_simulation.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include "compile/lazy.hpp"
 #include "proto/partition.hpp"
 #include "sim/batched_count_simulation.hpp"
-#include "sim/count_simulation.hpp"
 
 namespace pops {
 namespace {
@@ -108,18 +108,12 @@ TEST(LazyCompiledSpec, PartitionLazyMatchesEagerTrajectoryExactly) {
   LazyCompiledSpec<Bounded<PartitionProtocol>> lazy(
       Bounded<PartitionProtocol>(PartitionProtocol{}, 1), 1);
 
-  CountSimulation eager_seq(result.spec, 0xBEE);
-  CountSimulation lazy_seq(lazy, 0xBEE);
   BatchedCountSimulation eager_bat(result.spec, 0xFAB);
   BatchedCountSimulation lazy_bat(lazy, 0xFAB);
   const std::uint32_t x = result.spec.id("X");
   ASSERT_EQ(lazy.spec().name(x), "X");
-  for (auto* sim : {&eager_seq, &lazy_seq}) sim->set_count(x, 30000);
   for (auto* sim : {&eager_bat, &lazy_bat}) sim->set_count(x, 30000);
   for (int i = 0; i < 8; ++i) {
-    eager_seq.steps(3000);
-    lazy_seq.steps(3000);
-    ASSERT_EQ(eager_seq.counts(), lazy_seq.counts()) << "sequential diverged at " << i;
     eager_bat.steps(15000);
     lazy_bat.steps(15000);
     ASSERT_EQ(eager_bat.counts(), lazy_bat.counts()) << "batched diverged at " << i;
@@ -128,11 +122,11 @@ TEST(LazyCompiledSpec, PartitionLazyMatchesEagerTrajectoryExactly) {
 
 // ---------------------------------------------------------- misc behavior ---
 
-TEST(LazyCompiledSpec, CountSimulationGrowsSamplerAsStatesIntern) {
+TEST(LazyCompiledSpec, BatchedGrowsCountsAsStatesIntern) {
   const auto proto = log_size_tiny();
   LazyCompiledSpec<Bounded<LS>> lazy(proto, proto.geometric_cap());
   ASSERT_EQ(lazy.num_states(), 1u);  // just the initial X state
-  CountSimulation sim(lazy, 0x5EED);
+  BatchedCountSimulation sim(lazy, 0x5EED);
   sim.set_count(0, 5000);
   sim.steps(200000);
   EXPECT_GT(lazy.num_states(), 20u);
@@ -160,20 +154,10 @@ TEST(LazyCompiledSpec, InitialDistributionMatchesEager) {
   }
 }
 
-/// A JIT guard tripped mid-run must throw out of `advance_time`, not crash.
-template <typename Sim>
-void expect_guard_throws(const CompileOptions& opts) {
-  const auto proto = log_size_tiny();
-  LazyCompiledSpec<Bounded<LS>> lazy(proto, proto.geometric_cap(), opts);
-  Sim sim(lazy, 1);
-  Rng seeder(2);
-  lazy.seed_initial(sim, 1000, seeder);
-  EXPECT_THROW(sim.advance_time(10.0), std::invalid_argument);
-}
-
 TEST(LazyCompiledSpec, PairGuardThrows) {
-  // Two guards: max_pairs = 3 trips in compile_pair's pair count, and
-  // max_states one above the initial states trips when the JIT interns
+  // A JIT guard tripped mid-run must throw out of `advance_time`, not
+  // crash.  Two guards: max_pairs = 3 trips in compile_pair's pair count,
+  // and max_states one above the initial states trips when the JIT interns
   // its second new state.
   const auto proto = log_size_tiny();
   CompileOptions pairs;
@@ -182,8 +166,11 @@ TEST(LazyCompiledSpec, PairGuardThrows) {
   states.max_states =
       LazyCompiledSpec<Bounded<LS>>(proto, proto.geometric_cap()).num_states() + 1;
   for (const CompileOptions& opts : {pairs, states}) {
-    expect_guard_throws<BatchedCountSimulation>(opts);
-    expect_guard_throws<CountSimulation>(opts);
+    LazyCompiledSpec<Bounded<LS>> lazy(proto, proto.geometric_cap(), opts);
+    BatchedCountSimulation sim(lazy, 1);
+    Rng seeder(2);
+    lazy.seed_initial(sim, 1000, seeder);
+    EXPECT_THROW(sim.advance_time(10.0), std::invalid_argument);
   }
 }
 

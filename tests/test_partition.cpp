@@ -7,7 +7,7 @@
 #include "harness/trials.hpp"
 #include "proto/partition.hpp"
 #include "sim/agent_simulation.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/bounds.hpp"
 
 namespace pops {
@@ -74,10 +74,10 @@ TEST(Partition, Corollary33OneThirdTwoThirds) {
 
 TEST(Partition, FiniteSpecMatchesAgentProtocol) {
   // The FiniteSpec version produces the same (X exhausted, A+S = n) outcome.
-  CountSimulation sim(partition_spec(), 5);
+  BatchedCountSimulation sim(partition_spec(), 5);
   sim.set_count("X", 2000);
   const double t = sim.run_until(
-      [](const CountSimulation& s) { return s.count("X") == 0; }, 1.0, 1e5);
+      [](const BatchedCountSimulation& s) { return s.count("X") == 0; }, 1.0, 1e5);
   EXPECT_GE(t, 0.0);
   EXPECT_EQ(sim.count("A") + sim.count("S"), 2000u);
   // Balance: same Lemma 3.2 deviation bound.

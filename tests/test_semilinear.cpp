@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "proto/semilinear.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "sim/reachability.hpp"
 
 namespace pops {
@@ -47,12 +47,12 @@ TEST(Threshold, ConvergesInSimulation) {
   constexpr std::uint32_t kC = 4;
   const auto spec = threshold_spec(kC);
   for (std::uint64_t tokens : {2ULL, 4ULL, 9ULL}) {
-    CountSimulation sim(spec, 5 + tokens);
+    BatchedCountSimulation sim(spec, 5 + tokens);
     sim.set_count("L1", tokens);
     sim.set_count("L0", 200 - tokens);
     const bool expected = tokens >= kC;
     const double t = sim.run_until(
-        [&](const CountSimulation& s) {
+        [&](const BatchedCountSimulation& s) {
           for (std::uint32_t st = 0; st < spec.num_states(); ++st) {
             if (s.count(st) > 0 && output_of(spec, st, kC) != expected) return false;
           }
@@ -78,11 +78,11 @@ TEST(Parity, ExhaustivelyStabilizes) {
 
 TEST(Parity, ExactlyOneLeaderSurvives) {
   const auto spec = parity_spec();
-  CountSimulation sim(spec, 7);
+  BatchedCountSimulation sim(spec, 7);
   sim.set_count("L1", 33);
   sim.set_count("L0", 67);
   const double t = sim.run_until(
-      [&](const CountSimulation& s) { return s.count("L0") + s.count("L1") == 1; }, 10.0,
+      [&](const BatchedCountSimulation& s) { return s.count("L0") + s.count("L1") == 1; }, 10.0,
       1e7);
   ASSERT_GE(t, 0.0);
   EXPECT_EQ(sim.count("L1"), 1u);  // 33 is odd
@@ -90,11 +90,11 @@ TEST(Parity, ExactlyOneLeaderSurvives) {
 
 TEST(ApproximateMajority, ClearMajorityConvergesFast) {
   const auto spec = approximate_majority_spec();
-  CountSimulation sim(spec, 11);
+  BatchedCountSimulation sim(spec, 11);
   sim.set_count("x", 700);
   sim.set_count("y", 300);
   const double t = sim.run_until(
-      [](const CountSimulation& s) { return s.count("y") == 0 && s.count("b") == 0; }, 1.0,
+      [](const BatchedCountSimulation& s) { return s.count("y") == 0 && s.count("b") == 0; }, 1.0,
       1e6);
   ASSERT_GE(t, 0.0);
   EXPECT_EQ(sim.count("x"), 1000u);

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "harness/trials.hpp"
-#include "sim/count_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "stats/bounds.hpp"
 #include "stats/summary.hpp"
 #include "termination/density.hpp"
@@ -67,7 +67,7 @@ TEST(DensityLemma, ClosureStatesReachLinearCountsInConstantTime) {
 
   double min_delta = 1.0;
   for (std::uint64_t n : {2000ULL, 8000ULL, 32000ULL}) {
-    CountSimulation sim(spec, 97 + n);
+    BatchedCountSimulation sim(spec, 97 + n);
     sim.set_count("c0", n);
     const auto result = measure_density_lemma(sim, closure.closure(), 1.0);
     EXPECT_GT(result.min_fraction, 0.0) << "n=" << n;
