@@ -34,7 +34,8 @@ Four metrics are gated at every matching key:
 pre-executor baselines), so runs with different thread budgets are never
 compared against each other — pin the width with POPS_THREADS=1 (as the
 tier-2 CI job does) to compare against single-threaded baselines.  Keys
-present on only one side are skipped and reported; improvements always
+present on only one side are skipped and reported by name (a sweep point
+that vanished from the new run is not silently green); improvements always
 pass.  Exit codes: 0 ok / nothing comparable, 1 regression, 2 usage or
 missing file.
 
@@ -126,7 +127,8 @@ def main():
         ("lazy_pairs", LOWER_IS_BETTER),
     )
     compared = 0
-    skipped = 0
+    one_sided = 0
+    noise = 0
     regressions = []
     for name in FILES:
         base_doc = load(os.path.join(args.baseline_dir, name))
@@ -144,22 +146,24 @@ def main():
             base = base_all[metric]
             new = new_all[metric]
             for key in sorted(set(base) | set(new), key=str):
+                label = f"{name}: {metric} {' '.join(str(k) for k in key)}"
                 if key not in base or key not in new:
-                    skipped += 1
+                    one_sided += 1
+                    side = "baseline" if key in base else "new run"
+                    print(f"  {'ONE-SIDED':>10}  {label}: only in the {side}")
                     continue
                 old_val, new_val = base[key], new[key]
                 if metric == "compile_seconds" and old_val < args.min_compile_seconds:
-                    skipped += 1
+                    noise += 1
                     continue
                 if metric == "interactions_per_sec" and \
                         min(base_all["measure_seconds"].get(key, float("inf")),
                             new_all["measure_seconds"].get(key, float("inf"))) \
                         < args.min_measure_seconds:
-                    skipped += 1
+                    noise += 1
                     continue
                 compared += 1
                 delta = (new_val - old_val) / old_val if old_val > 0 else 0.0
-                label = f"{name}: {metric} {' '.join(str(k) for k in key)}"
                 status = "ok"
                 if policy == HIGHER_IS_BETTER and delta < -args.threshold:
                     status = "REGRESSION"
@@ -172,8 +176,8 @@ def main():
                 print(f"  {status:>10}  {label}: {old_val:.6g} -> {new_val:.6g} "
                       f"({delta:+.1%})")
 
-    print(f"bench_diff: {compared} keys compared, {skipped} present on one side only "
-          f"or below the noise floor, {len(regressions)} regression(s)")
+    print(f"bench_diff: {compared} keys compared, {one_sided} present on one side only, "
+          f"{noise} below the noise floor, {len(regressions)} regression(s)")
     if compared == 0:
         # Different machine/threads than the baselines: nothing to gate on.
         print("bench_diff: no matching keys — gate is vacuous")

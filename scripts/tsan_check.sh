@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ThreadSanitizer check for the sharded JIT, the parallel eager closure,
-# parallel trials (test_parallel_epochs runs batched trials nested in the
-# pool) and the process-wide work-stealing executor: configure a TSan build tree
+# parallel trials (test_parallel_epochs runs serial batched trials fanned
+# out over the pool) and the process-wide executor: configure a TSan build tree
 # (CMAKE_BUILD_TYPE=TSan, see CMakeLists.txt), build the
 # concurrency-sensitive test binaries, and run them under the race
 # detector.  Registered as the tier-2 ctest target `tsan_concurrency` and

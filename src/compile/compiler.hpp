@@ -54,9 +54,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <exception>
 #include <initializer_list>
-#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -481,12 +479,12 @@ class ProtocolCompiler {
     }
   }
 
-  /// Workers claim pair chunks of [begin, end) from an atomic cursor (work
-  /// stealing on top of the executor's own stealing), explore against the
-  /// frozen global interner, stash unknown output states in a private
-  /// ProvisionalInterner, and append their cells to private arenas.  A
-  /// two-level merge then fixes global ids in the sequential sweep's exact
-  /// pair order — see the merge block below.
+  /// Workers claim pair chunks of [begin, end) from an atomic cursor (the
+  /// load balancing: the executor runs one body per worker), explore
+  /// against the frozen global interner, stash unknown output states in a
+  /// private ProvisionalInterner, and append their cells to private
+  /// arenas.  A two-level merge then fixes global ids in the sequential
+  /// sweep's exact pair order — see the merge block below.
   void close_pair_batch(std::uint64_t begin, std::uint64_t end, unsigned threads) {
 
     struct PairCell {
@@ -504,8 +502,6 @@ class ProtocolCompiler {
         std::min<std::uint64_t>(threads, (end - begin + kPairChunk - 1) / kPairChunk));
     std::vector<WorkerOut> outs(workers);
     std::atomic<std::uint64_t> cursor{begin};
-    std::exception_ptr error;
-    std::mutex error_mutex;
 
     auto worker_body = [&](unsigned w) {
       WorkerOut& wo = outs[w];
@@ -535,21 +531,16 @@ class ProtocolCompiler {
           }
         }
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
         cursor.store(end, std::memory_order_relaxed);  // drain remaining work
+        throw;  // TaskGroup::wait rethrows the first worker's failure
       }
     };
 
-    {
-      Executor::TaskGroup group;
-      for (unsigned w = 0; w + 1 < workers; ++w) {
-        group.run([&worker_body, w] { worker_body(w); });
-      }
-      worker_body(workers - 1);  // the calling thread is worker #workers-1
-      group.wait();
+    Executor::TaskGroup group;
+    for (unsigned w = 0; w < workers; ++w) {
+      group.run([&worker_body, w] { worker_body(w); });
     }
-    if (error) std::rethrow_exception(error);
+    group.wait();  // the calling thread help-runs the submitted bodies
 
     // Two-level deterministic merge: pair order fixes the global intern
     // order, exactly as the sequential sweep would have.
@@ -579,7 +570,8 @@ class ProtocolCompiler {
     // every chunk task zeroes a per-worker seen-bitmap over the
     // provisional states, so unbounded chunks would make level 1
     // O(chunks x provisional) — with ~4 chunks per thread the bitmap cost
-    // stays O(width x provisional) while the stealing still load-balances.
+    // stays O(width x provisional) while the spare chunks still balance
+    // the load across the pool.
     const std::uint64_t merge_chunk = std::max<std::uint64_t>(
         kMergeChunkPairs,
         (end - begin + Executor::instance().threads() * 4 - 1) /

@@ -1,9 +1,11 @@
-// Tests for the process-wide work-stealing executor (core/executor.hpp):
+// Tests for the process-wide executor (core/executor.hpp):
 //
 //   * nested submission — a task running on the pool fans out a nested
 //     TaskGroup (trials that compile inside the pool) and waits on it
 //     without deadlock, and the whole nest runs on the executor's threads
 //     only (no oversubscription, whatever the nesting depth);
+//   * concurrency bound — a flat fan-out never has more than threads()
+//     task bodies running at once;
 //   * width override — Executor::set_threads() restarts the pool at the
 //     new width and every client (run_trials_parallel, the eager closure)
 //     observes it on its next fan-out;
@@ -11,17 +13,19 @@
 //     per-seed invariant at widths 1, 2 and 8 (the contract that lets
 //     set_threads change wall-clock, never output);
 //   * exception propagation — a throwing trial/task surfaces at wait()
-//     exactly once, after every sibling finished;
+//     exactly once, after every sibling finished, and a compile whose
+//     parallel closure round throws leaves the pool quiescent;
 //   * POPS_THREADS parsing — malformed or out-of-range values throw instead
 //     of silently picking some other width (checked on strings only, so no
 //     pool ever starts at an extreme width).
 //
 // Also runs under the TSan preset (scripts/tsan_check.sh), which is what
-// exercises the Chase–Lev deques and the help-while-waiting protocol under
-// the race detector.
+// exercises the shared task queue, the worker sleep/wake handshake and the
+// help-while-waiting protocol under the race detector.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -128,6 +132,32 @@ TEST(Executor, NestedGroupsCompleteWithoutDeadlockOrOversubscription) {
   EXPECT_LE(tracker.count(), Executor::instance().threads());
 }
 
+TEST(Executor, FlatFanOutNeverRunsMoreTasksThanTheWidth) {
+  for (const unsigned width : {2u, 3u}) {
+    WidthGuard guard(width);
+    std::atomic<unsigned> active{0};
+    std::atomic<unsigned> peak{0};
+    std::atomic<std::uint64_t> ran{0};
+    Executor::TaskGroup group;
+    for (int i = 0; i < 64; ++i) {
+      group.run([&] {
+        const unsigned now = active.fetch_add(1) + 1;
+        unsigned seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        // Hold the slot long enough that workers and the waiting caller
+        // overlap, so an extra runner would show in the peak.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        active.fetch_sub(1);
+        ran.fetch_add(1);
+      });
+    }
+    group.wait();
+    EXPECT_EQ(ran.load(), 64u) << "width=" << width;
+    EXPECT_LE(peak.load(), Executor::instance().threads()) << "width=" << width;
+  }
+}
+
 TEST(Executor, TrialsThatCompileInsideThePoolComplete) {
   WidthGuard width(4);
   const auto proto = log_size_tiny();
@@ -174,6 +204,43 @@ TEST(Executor, EagerCompileIsBitIdenticalAcrossWidths) {
     }
     EXPECT_EQ(ref.initial_distribution, got.initial_distribution);
     EXPECT_EQ(ref.pairs_explored, got.pairs_explored);
+  }
+}
+
+TEST(Executor, ParallelClosureErrorSurfacesAndLeavesThePoolQuiescent) {
+  const auto proto = log_size_tiny();
+  WidthGuard restore(1);  // dtor restores the default even on ASSERT bailout
+  const auto ref = ProtocolCompiler<BLS>(proto, proto.geometric_cap()).compile();
+  Executor::set_threads(4);
+  // log_size_tiny's closure knows exactly 107 states when its first round
+  // above the 2048-pair parallel cutoff starts, and that round discovers
+  // more, so with max_states = 107 the first new state any pool worker
+  // meets trips the guard.
+  CompileOptions opts;
+  opts.max_states = 107;
+  try {
+    ProtocolCompiler<BLS>(proto, proto.geometric_cap(), opts).compile();
+    ADD_FAILURE() << "state-space guard did not trip";
+  } catch (const std::invalid_argument& e) {
+    // The workers' guard is the one in compiler.hpp; the serial sweep and
+    // the merge trip the interner's (intern.hpp) instead.
+    EXPECT_NE(std::string(e.what()).find("compiler.hpp"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW(Executor::set_threads(2));  // every worker body finished
+  const auto got = ProtocolCompiler<BLS>(proto, proto.geometric_cap()).compile();
+  ASSERT_EQ(ref.num_states(), got.num_states());
+  for (std::uint32_t i = 0; i < ref.num_states(); ++i) {
+    ASSERT_EQ(ref.spec.name(i), got.spec.name(i));
+  }
+  const auto& ta = ref.spec.transitions();
+  const auto& tb = got.spec.transitions();
+  ASSERT_EQ(ta.size(), tb.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    ASSERT_TRUE(ta[i].in_receiver == tb[i].in_receiver &&
+                ta[i].in_sender == tb[i].in_sender &&
+                ta[i].out_receiver == tb[i].out_receiver &&
+                ta[i].out_sender == tb[i].out_sender && ta[i].rate == tb[i].rate)
+        << "transition " << i << " diverged after the failed compile";
   }
 }
 

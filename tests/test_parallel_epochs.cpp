@@ -8,8 +8,9 @@
 //     the same widths;
 //   * the lazy/JIT path, compared by state *name* (interning order may
 //     differ, labels may not);
-//   * trials × epochs nesting: run_trials_parallel at width 8 must equal
-//     the fully serial path, trial for trial.
+//   * batched trials on the pool: run_trials_parallel at width 8, each
+//     trial a serial batched run, must equal the fully serial path, trial
+//     for trial.
 //
 // The widths use real worker threads even on small machines, which is what
 // gives the TSan run of this binary teeth (scripts/tsan_check.sh runs it at
