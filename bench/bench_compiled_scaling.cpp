@@ -108,8 +108,10 @@ void report(const char* name, const P& proto, std::uint32_t cap, std::uint64_t m
             const char* obs_name) {
   begin_config(name);
 
-  // Eager compile at full executor width (typed-state interner + parallel
-  // closure — bit-identical to the single-threaded sweep at any width).
+  // Eager compile at the executor's width: the parallel closure above width
+  // 1, the sequential sweep at width 1 (POPS_THREADS=1, as the committed
+  // BENCH_compiled.json and CI's tier-2 regen run it).  Both give the same
+  // spec bit for bit.
   const unsigned threads = pops::Executor::instance().threads();
   auto t0 = std::chrono::steady_clock::now();
   const auto compiled = pops::ProtocolCompiler<P>(proto, cap).compile(threads);

@@ -41,9 +41,9 @@
 //   * eager — `ProtocolCompiler` BFS-closes the whole reachable pair space
 //     up front (this file), fanning each frontier round's (receiver, sender)
 //     pair chunks out over the process-wide executor (core/executor.hpp).
-//     Workers intern privately and a deterministic two-level pair-order
-//     merge assigns global ids, so the result is bit-identical to the
-//     single-threaded sweep at any thread count;
+//     Workers intern privately and one serial pair-order merge assigns
+//     global ids, so the result is bit-identical to the single-threaded
+//     sweep at any thread count;
 //   * lazy  — `LazyCompiledSpec` (compile/lazy.hpp) interns states on first
 //     contact *during simulation* and compiles only the (receiver, sender)
 //     pairs a run actually touches, lifting the states² barrier and
@@ -54,7 +54,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <initializer_list>
+#include <deque>
 #include <set>
 #include <string>
 #include <utility>
@@ -300,66 +300,6 @@ bool closure_matches(const CompileResult<P>& result) {
   return closure.closure().size() == result.num_states();
 }
 
-/// Worker-private interner for the parallel eager closure: states new to the
-/// global interner get *provisional* ids (tag bit set) that the merge phase
-/// rewrites to global ids in deterministic pair order.
-template <typename State>
-class ProvisionalInterner {
- public:
-  std::uint32_t intern(const State& s, const StateKeyBuf& key, std::uint64_t hash) {
-    if (slots_.empty()) slots_.assign(64, 0);
-    for (std::uint64_t idx = hash & (slots_.size() - 1);;
-         idx = (idx + 1) & (slots_.size() - 1)) {
-      const std::uint32_t v = slots_[idx];
-      if (v == 0) {
-        const std::uint32_t id = static_cast<std::uint32_t>(states_.size());
-        states_.push_back(s);
-        hashes_.push_back(hash);
-        spans_.push_back({static_cast<std::uint32_t>(words_.size()), key.size()});
-        words_.insert(words_.end(), key.data(), key.data() + key.size());
-        slots_[idx] = id + 1;
-        if ((states_.size() + 1) * 4 >= slots_.size() * 3) rehash();
-        return id;
-      }
-      if (hashes_[v - 1] == hash && equals(v - 1, key)) return v - 1;
-    }
-  }
-
-  const State& state(std::uint32_t id) const { return states_[id]; }
-  std::size_t size() const { return states_.size(); }
-
- private:
-  struct Span {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-  };
-
-  bool equals(std::uint32_t id, const StateKeyBuf& key) const {
-    const Span& sp = spans_[id];
-    if (sp.len != key.size()) return false;
-    for (std::uint32_t i = 0; i < sp.len; ++i) {
-      if (words_[sp.off + i] != key.data()[i]) return false;
-    }
-    return true;
-  }
-
-  void rehash() {
-    std::vector<std::uint32_t> next(slots_.size() * 2, 0);
-    for (std::uint32_t id = 0; id < states_.size(); ++id) {
-      std::uint64_t idx = hashes_[id] & (next.size() - 1);
-      while (next[idx] != 0) idx = (idx + 1) & (next.size() - 1);
-      next[idx] = id + 1;
-    }
-    slots_ = std::move(next);
-  }
-
-  std::vector<State> states_;
-  std::vector<std::uint64_t> hashes_;
-  std::vector<Span> spans_;
-  std::vector<std::uint64_t> words_;
-  std::vector<std::uint32_t> slots_;
-};
-
 template <CompilableProtocol P>
 class ProtocolCompiler {
  public:
@@ -426,7 +366,6 @@ class ProtocolCompiler {
 
   static constexpr std::uint64_t kParallelRoundCutoff = 2048;  ///< pairs
   static constexpr std::uint64_t kPairChunk = 64;              ///< work unit
-  static constexpr std::uint64_t kMergeChunkPairs = 16384;     ///< merge level-1/3 unit
   /// Per-batch pair cap (bounds the merge index at ~48 MB however big the
   /// closure).  Tests override it (POPS_COMPILE_BATCH_PAIRS) to force batch
   /// splits on small presets.
@@ -457,6 +396,10 @@ class ProtocolCompiler {
     for (const auto& c : scratch) {
       core_.mutable_spec().add(r, s, c.out_receiver, c.out_sender, c.rate);
     }
+    require_transition_room();
+  }
+
+  void require_transition_room() const {
     POPS_REQUIRE(core_.spec().transitions().size() <= core_.options().max_transitions,
                  "transition explosion: raise CompileOptions.max_transitions or "
                  "lower the field caps");
@@ -482,40 +425,46 @@ class ProtocolCompiler {
   /// Workers claim pair chunks of [begin, end) from an atomic cursor (the
   /// load balancing: the executor runs one body per worker), explore
   /// against the frozen global interner, stash unknown output states in a
-  /// private ProvisionalInterner, and append their cells to private
-  /// arenas.  A two-level merge then fixes global ids in the sequential
-  /// sweep's exact pair order — see the merge block below.
+  /// private StateInterner under provisional ids, and append their cells
+  /// to private arenas.  One serial walk then emits the batch in pair
+  /// order, interning each provisional state at its first reference.
   void close_pair_batch(std::uint64_t begin, std::uint64_t end, unsigned threads) {
-
+    using State = typename P::State;
     struct PairCell {
       std::uint32_t worker = 0;
       std::uint32_t offset = 0;
       std::uint32_t len = 0;
     };
     struct WorkerOut {
+      explicit WorkerOut(std::size_t max_states) : local(max_states) {}
       std::vector<CellEntry> entries;  ///< concatenated per-pair cells
-      ProvisionalInterner<typename P::State> local;
+      StateInterner<State> local;      ///< states new to the global interner
     };
 
     std::vector<PairCell> cells(end - begin);
     const unsigned workers = static_cast<unsigned>(
         std::min<std::uint64_t>(threads, (end - begin + kPairChunk - 1) / kPairChunk));
-    std::vector<WorkerOut> outs(workers);
+    std::deque<WorkerOut> outs;  // a deque: the interners are immovable
+    for (unsigned w = 0; w < workers; ++w) outs.emplace_back(core_.options().max_states);
     std::atomic<std::uint64_t> cursor{begin};
 
     auto worker_body = [&](unsigned w) {
       WorkerOut& wo = outs[w];
       std::vector<CellEntry> cell;
-      auto resolve = [&](const typename P::State& st) -> std::uint32_t {
+      auto resolve = [&](const State& st) -> std::uint32_t {
         StateKeyBuf key;
         build_state_key(core_.protocol(), st, key);
         const std::uint64_t hash = key.hash();
         const std::uint32_t g = core_.states().find(key, hash);
-        if (g != StateInterner<typename P::State>::kNotFound) return g;
-        POPS_REQUIRE(core_.num_states() + wo.local.size() < core_.options().max_states,
-                     "state-space explosion: raise CompileOptions.max_states or "
-                     "lower the field caps");
-        return kProvisional | wo.local.intern(st, key, hash);
+        if (g != StateInterner<State>::kNotFound) return g;
+        std::uint32_t local = wo.local.find(key, hash);
+        if (local == StateInterner<State>::kNotFound) {
+          POPS_REQUIRE(core_.num_states() + wo.local.size() < core_.options().max_states,
+                       "state-space explosion: raise CompileOptions.max_states or "
+                       "lower the field caps");
+          local = wo.local.intern(st, key, hash, [](std::uint32_t, const State&) {});
+        }
+        return kProvisional | local;
       };
       try {
         for (;;) {
@@ -542,96 +491,34 @@ class ProtocolCompiler {
     }
     group.wait();  // the calling thread help-runs the submitted bodies
 
-    // Two-level deterministic merge: pair order fixes the global intern
-    // order, exactly as the sequential sweep would have.
-    //
-    //   Level 1 (parallel)  — chunk the pair sequence; each chunk records,
-    //     in (pair, entry, receiver-then-sender) scan order, the *first*
-    //     reference to every provisional (worker, local id): the
-    //     per-worker prefix dedup.
-    //   Level 2 (sequential splice) — walk the chunks in order and intern
-    //     each still-unresolved first reference.  Concatenating the
-    //     chunks' first-reference lists in chunk order reproduces the
-    //     global first-appearance order, so ids come out identical to the
-    //     old single-threaded merge — but this serial step now touches
-    //     each unique new state once instead of every transition operand.
-    //   Level 3 (parallel)  — rewrite the cells through the resolved
-    //     tables and emit every transition into its precomputed slot.
+    // Serial merge in pair order, scanning each cell's entries receiver
+    // then sender: a provisional (worker, local id) interns globally at its
+    // first reference, memoized per worker.  That is the order in which
+    // the sequential sweep first meets each new state, so ids, names,
+    // transition order and rates all come out identical to it.
     constexpr std::uint32_t kUnresolved = 0xFFFFFFFFu;
     std::vector<std::vector<std::uint32_t>> resolved(workers);
     for (unsigned w = 0; w < workers; ++w) {
       resolved[w].assign(outs[w].local.size(), kUnresolved);
     }
-    struct FirstRef {
-      std::uint32_t worker = 0;
-      std::uint32_t local = 0;
-    };
-    // Chunk count is bounded by the executor width, not the batch size:
-    // every chunk task zeroes a per-worker seen-bitmap over the
-    // provisional states, so unbounded chunks would make level 1
-    // O(chunks x provisional) — with ~4 chunks per thread the bitmap cost
-    // stays O(width x provisional) while the spare chunks still balance
-    // the load across the pool.
-    const std::uint64_t merge_chunk = std::max<std::uint64_t>(
-        kMergeChunkPairs,
-        (end - begin + Executor::instance().threads() * 4 - 1) /
-            (Executor::instance().threads() * 4));
-    const std::size_t nchunks =
-        static_cast<std::size_t>((end - begin + merge_chunk - 1) / merge_chunk);
-    std::vector<std::vector<FirstRef>> chunk_firsts(nchunks);
-    Executor::parallel_chunks(
-        begin, end, merge_chunk,
-        [&](std::uint64_t c, std::uint64_t lo, std::uint64_t hi) {
-          std::vector<std::vector<char>> seen(workers);
-          for (unsigned w = 0; w < workers; ++w) seen[w].assign(outs[w].local.size(), 0);
-          std::vector<FirstRef>& firsts = chunk_firsts[c];
-          for (std::uint64_t p = lo; p < hi; ++p) {
-            const PairCell& pc = cells[p - begin];
-            for (std::uint32_t i = 0; i < pc.len; ++i) {
-              const CellEntry& e = outs[pc.worker].entries[pc.offset + i];
-              for (const std::uint32_t id : {e.out_receiver, e.out_sender}) {
-                if ((id & kProvisional) == 0) continue;
-                const std::uint32_t local = id & ~kProvisional;
-                if (!seen[pc.worker][local]) {
-                  seen[pc.worker][local] = 1;
-                  firsts.push_back(FirstRef{pc.worker, local});
-                }
-              }
-            }
-          }
-        });
-    for (const auto& firsts : chunk_firsts) {
-      for (const FirstRef& fr : firsts) {
-        std::uint32_t& memo = resolved[fr.worker][fr.local];
-        if (memo == kUnresolved) memo = core_.intern(outs[fr.worker].local.state(fr.local));
-      }
-    }
-    std::vector<std::uint64_t> offsets(end - begin + 1, 0);
     for (std::uint64_t p = begin; p < end; ++p) {
-      offsets[p - begin + 1] = offsets[p - begin] + cells[p - begin].len;
+      const auto [r, s] = decode_pair(p);
+      const PairCell& pc = cells[p - begin];
+      const WorkerOut& wo = outs[pc.worker];
+      const auto global_id = [&](std::uint32_t id) {
+        if ((id & kProvisional) == 0) return id;
+        std::uint32_t& memo = resolved[pc.worker][id & ~kProvisional];
+        if (memo == kUnresolved) memo = core_.intern(wo.local[id & ~kProvisional]);
+        return memo;
+      };
+      for (std::uint32_t i = 0; i < pc.len; ++i) {
+        const CellEntry& e = wo.entries[pc.offset + i];
+        const std::uint32_t out_receiver = global_id(e.out_receiver);
+        const std::uint32_t out_sender = global_id(e.out_sender);
+        core_.mutable_spec().add(r, s, out_receiver, out_sender, e.rate);
+      }
+      require_transition_room();
     }
-    POPS_REQUIRE(core_.spec().transitions().size() + offsets[end - begin] <=
-                     core_.options().max_transitions,
-                 "transition explosion: raise CompileOptions.max_transitions or "
-                 "lower the field caps");
-    Transition* dst = core_.mutable_spec().append_transitions(offsets[end - begin]);
-    Executor::parallel_chunks(
-        begin, end, merge_chunk,
-        [&](std::uint64_t, std::uint64_t lo, std::uint64_t hi) {
-          const auto resolve = [&](std::uint32_t w, std::uint32_t id) {
-            return (id & kProvisional) != 0 ? resolved[w][id & ~kProvisional] : id;
-          };
-          for (std::uint64_t p = lo; p < hi; ++p) {
-            const auto [r, s] = decode_pair(p);
-            const PairCell& pc = cells[p - begin];
-            Transition* slot = dst + offsets[p - begin];
-            for (std::uint32_t i = 0; i < pc.len; ++i) {
-              const CellEntry& e = outs[pc.worker].entries[pc.offset + i];
-              slot[i] = Transition{r, s, resolve(pc.worker, e.out_receiver),
-                                   resolve(pc.worker, e.out_sender), e.rate};
-            }
-          }
-        });
   }
 
   CompilerCore<P> core_;

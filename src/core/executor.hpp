@@ -195,31 +195,6 @@ class Executor {
     std::exception_ptr error_;
   };
 
-  /// Convenience fan-out: split [begin, end) into contiguous ranges of at
-  /// most `chunk` and run fn(chunk_index, lo, hi) as tasks (the calling
-  /// thread helps).  Runs inline when the range fits one chunk or the
-  /// width is 1.
-  template <typename Fn>
-  static void parallel_chunks(std::uint64_t begin, std::uint64_t end,
-                              std::uint64_t chunk, Fn&& fn) {
-    POPS_REQUIRE(chunk > 0, "parallel_chunks: chunk must be positive");
-    if (end <= begin) return;
-    if (instance().threads() == 1 || end - begin <= chunk) {
-      std::uint64_t index = 0;
-      for (std::uint64_t lo = begin; lo < end; lo += chunk, ++index) {
-        fn(index, lo, std::min(end, lo + chunk));
-      }
-      return;
-    }
-    TaskGroup group;
-    std::uint64_t index = 0;
-    for (std::uint64_t lo = begin; lo < end; lo += chunk, ++index) {
-      const std::uint64_t hi = std::min(end, lo + chunk);
-      group.run([&fn, index, lo, hi] { fn(index, lo, hi); });
-    }
-    group.wait();
-  }
-
  private:
   struct Task {
     std::function<void()> fn;

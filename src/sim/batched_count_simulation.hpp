@@ -189,8 +189,11 @@ class BatchedCountSimulation {
   double run_until(Pred&& done, double check_dt = 1.0, double max_time = 1e12) {
     POPS_REQUIRE(check_dt > 0.0, "run_until needs check_dt > 0");
     while (time() < max_time) {
+      // A check interval under one interaction would never advance time().
+      const std::uint64_t k = interactions_in(check_dt, total_);
+      POPS_REQUIRE(k >= 1, "run_until needs check_dt * n >= 1");
       if (done(*this)) return time();
-      advance_time(check_dt);
+      steps(k);
     }
     return done(*this) ? time() : -1.0;
   }

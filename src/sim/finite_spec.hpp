@@ -123,17 +123,6 @@ class FiniteSpec {
     transitions_.push_back(Transition{a, b, c, d, rate});
   }
 
-  /// Bulk emission for the compiler's parallel merge: append `count`
-  /// value-initialized transitions and return the slice, which the caller
-  /// fills concurrently (distinct slots per writer) with already-interned
-  /// ids and rates in (0, 1].  add()'s per-call checks are skipped here;
-  /// validate() re-checks every slot's ids and rate plus the per-pair
-  /// rate discipline, and the compiler validates before a spec escapes.
-  Transition* append_transitions(std::size_t count) {
-    transitions_.resize(transitions_.size() + count);
-    return transitions_.data() + (transitions_.size() - count);
-  }
-
   /// Symmetric convenience: adds both a,b → c,d and b,a → d,c.
   void add_symmetric(const std::string& a, const std::string& b, const std::string& c,
                      const std::string& d, double rate = 1.0) {
@@ -152,11 +141,10 @@ class FiniteSpec {
     return total;
   }
 
-  /// Check every transition (ids in range, rate in (0, 1] — the bulk
-  /// `append_transitions` path skips add()'s per-call checks, so this is
-  /// where malformed compiler output fails fast) and the rate discipline
-  /// for every input pair.  Hash-keyed so compiled specs with millions of
-  /// transitions validate in linear time.
+  /// Check every transition (ids in range, rate in (0, 1]) and the rate
+  /// discipline for every input pair, whose total add() cannot check until
+  /// all of the pair's transitions are in.  Hash-keyed so compiled specs
+  /// with millions of transitions validate in linear time.
   void validate() const {
     const auto n = num_states();
     std::unordered_map<std::uint64_t, double> totals;

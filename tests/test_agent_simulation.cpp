@@ -78,6 +78,12 @@ TEST(AgentSimulation, RunUntilHonorsCap) {
       sim.run_until([](const AgentSimulation<CountingProtocol>&) { return false; }, 1.0, 5.0);
   EXPECT_LT(t, 0.0);
   EXPECT_GE(sim.time(), 5.0);
+  // check_dt * n < 1 truncates every check interval to 0 interactions, so
+  // time() could never reach the cap: refuse instead of spinning forever.
+  AgentSimulation<CountingProtocol> tiny_dt(CountingProtocol{}, 10, 4);
+  EXPECT_THROW(tiny_dt.run_until(
+                   [](const AgentSimulation<CountingProtocol>&) { return false; }, 0.05, 5.0),
+               std::invalid_argument);
 }
 
 TEST(AgentSimulation, SetStatePlantsLeader) {

@@ -139,6 +139,15 @@ TEST(BatchedCountSimulation, EpidemicCompletes) {
       [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 1.0, 1000.0);
   EXPECT_GE(t, 0.0);
   EXPECT_EQ(sim.count("I"), 1000u);
+  // check_dt * n < 1 truncates every check interval to 0 interactions, so
+  // time() could never reach the cap: refuse instead of spinning forever.
+  BatchedCountSimulation tiny_dt(epidemic_spec(), 7);
+  tiny_dt.set_count("S", 999);
+  tiny_dt.set_count("I", 1);
+  EXPECT_THROW(tiny_dt.run_until(
+                   [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 1e-4,
+                   1.0),
+               std::invalid_argument);
 }
 
 TEST(BatchedCountSimulation, LargePopulationEpidemicCompletesFast) {

@@ -218,12 +218,15 @@ TEST_F(JitConcurrency, MixedSimulatorsShareOneGrowingTable) {
 
 // ----------------------------------------------------- eager determinism ----
 
-TEST_F(JitConcurrency, ParallelEagerCompileIsBitIdentical) {
-  const auto proto = log_size_tiny();
-  ProtocolCompiler<BLS> sequential(proto, proto.geometric_cap());
+/// Compile `proto` at width 1 (the sequential sweep) and at widths 2, 3
+/// and 8 (the parallel closure, split into 4096-pair batches), and require
+/// the same names, transitions, initial distribution and counters.
+template <typename Proto>
+void expect_eager_compile_width_invariant(const Proto& proto) {
+  ProtocolCompiler<Proto> sequential(proto, proto.geometric_cap());
   const auto ref = sequential.compile(1);
   for (const unsigned threads : {2u, 3u, 8u}) {
-    ProtocolCompiler<BLS> parallel(proto, proto.geometric_cap());
+    ProtocolCompiler<Proto> parallel(proto, proto.geometric_cap());
     const auto got = parallel.compile(threads);
     ASSERT_EQ(ref.num_states(), got.num_states()) << "threads=" << threads;
     for (std::uint32_t i = 0; i < ref.num_states(); ++i) {
@@ -244,6 +247,12 @@ TEST_F(JitConcurrency, ParallelEagerCompileIsBitIdentical) {
     EXPECT_EQ(ref.pairs_explored, got.pairs_explored);
     EXPECT_EQ(ref.paths_explored, got.paths_explored);
   }
+}
+
+TEST_F(JitConcurrency, ParallelEagerCompileIsBitIdentical) {
+  expect_eager_compile_width_invariant(log_size_tiny());
+  // A second protocol shape: 792 states, so ~627k pairs over ~150 batches.
+  expect_eager_compile_width_invariant(bounded_majority(0.55));
 }
 
 }  // namespace
