@@ -8,8 +8,9 @@
 // n = 10^8–10^12 parallel-time experiments reachable.
 //
 // Output is machine-readable JSON (one result object per engine × n;
-// batched rows carry a `stats` object — epochs and which batch sampler each
-// took) for BENCH_*.json perf-trajectory tracking:
+// batched rows carry a `stats` object — epochs, which batch sampler each
+// took, and the sequential sampler's redraws) for BENCH_*.json
+// perf-trajectory tracking:
 //   ./bench_batched [--max-n=N] > BENCH_batched.json
 #include <chrono>
 #include <cinttypes>
@@ -73,8 +74,10 @@ void emit(const Result& r) {
               r.seconds, static_cast<double>(r.interactions) / r.seconds);
   if (r.stats != nullptr) {
     std::printf(", \"stats\": {\"epochs\": %" PRIu64 ", \"sequential\": %" PRIu64
-                ", \"shuffle\": %" PRIu64 ", \"dense\": %" PRIu64 "}",
-                r.stats->epochs, r.stats->sequential, r.stats->shuffle, r.stats->dense);
+                ", \"shuffle\": %" PRIu64 ", \"dense\": %" PRIu64
+                ", \"redraws\": %" PRIu64 "}",
+                r.stats->epochs, r.stats->sequential, r.stats->shuffle, r.stats->dense,
+                r.stats->redraws);
   }
   std::printf("}");
   first_result = false;

@@ -14,7 +14,8 @@
 //     run_trials_parallel; lazy batched trials share one JIT table);
 //   * scaling — throughput at n = 10^8 … max-n under a fixed interaction
 //     budget, plus protocol observables and the point's epoch counters
-//     (`stats`: epochs and which batch sampler each took).  AgentSimulation
+//     (`stats`: epochs, which batch sampler each took, and the sequential
+//     sampler's redraws).  AgentSimulation
 //     needs Θ(n) memory (≳ 4 GB at n = 10^8 for Log-Size-Estimation) and is
 //     simply absent above that, which is the point of the compile-to-counts
 //     pipeline.
@@ -92,8 +93,9 @@ void print_scaling(pops::BatchedCountSimulation& sim, std::uint64_t max_n,
                 static_cast<double>(work) / secs, sim.time(), obs_name, obs);
     const auto& st = sim.stats();
     std::printf(", \"stats\": {\"epochs\": %" PRIu64 ", \"sequential\": %" PRIu64
-                ", \"shuffle\": %" PRIu64 ", \"dense\": %" PRIu64 "}}",
-                st.epochs, st.sequential, st.shuffle, st.dense);
+                ", \"shuffle\": %" PRIu64 ", \"dense\": %" PRIu64
+                ", \"redraws\": %" PRIu64 "}}",
+                st.epochs, st.sequential, st.shuffle, st.dense, st.redraws);
     first_point = false;
     std::fflush(stdout);
   }

@@ -31,8 +31,10 @@
 //          draws cost more than the O(t) interactions they serve: draw the
 //          2t agents one at a time (uniform slot over prefix sums of the
 //          occupied classes, redrawn if it lands on an agent already in the
-//          batch) and fire each pair as a single interaction.  O(occupied)
-//          additions plus O(t log occupied).
+//          batch) and fire each pair as a single interaction.  A guide
+//          table over the prefix sums (indexed search, Chen & Asau 1974)
+//          finds each slot's class in expected O(1): O(occupied) per epoch
+//          to build the sums and the table, plus expected O(1) per draw.
 //   3. Resolve the single colliding interaction exactly: the repeated agent
 //      is uniform among the 2(L−1) touched agents (whose post-batch states
 //      are known as a multiset), its partner uniform among touched/untouched
@@ -115,6 +117,9 @@ class BatchedCountSimulation {
     std::uint64_t sequential = 0;  ///< agent-by-agent short-epoch sampler
     std::uint64_t shuffle = 0;     ///< joint draw + shuffle pairing
     std::uint64_t dense = 0;       ///< joint draw + contingency-table pairing
+    /// Sequential-sampler slots that landed on an agent already drawn in
+    /// the same batch and were drawn again.
+    std::uint64_t redraws = 0;
   };
 
   /// Reset to an empty configuration with a fresh seed, reusing the compiled
@@ -271,14 +276,21 @@ class BatchedCountSimulation {
   /// writes the global `signgam` and so races when trials fan out over
   /// threads on one shared JIT table.  The terms that depend on n alone are
   /// cached per population size (`cache_survival_constants`), not
-  /// recomputed per binary-search probe.
-  double log_survival(std::uint64_t t) const {
+  /// recomputed per binary-search probe.  On the small-n branch each value
+  /// depends on t and n alone, and successive epochs probe mostly the same
+  /// t, so it is memoized per n in `survival_memo_` (NaN = not yet
+  /// computed): each entry is computed once by the unchanged expression.
+  double log_survival(std::uint64_t t) {
     const std::uint64_t n = total_;
     if (2 * t > n) return -std::numeric_limits<double>::infinity();
     const double dn = static_cast<double>(n);
     const double dt = static_cast<double>(t);
     if (n < kSurvivalSeriesN) {
-      return log_factorial_n_ - detail::log_factorial(dn - 2.0 * dt) - dt * log_pair_n_;
+      double& value = survival_memo_[t];
+      if (std::isnan(value)) {
+        value = log_factorial_n_ - detail::log_factorial(dn - 2.0 * dt) - dt * log_pair_n_;
+      }
+      return value;
     }
     // sum_{j=0}^{2t-1} log1p(-j/n) - t*log1p(-1/n), with
     // sum log1p(-j/n) ~ -(S1/n + S2/(2n^2) + S3/(3n^3) + S4/(4n^4)).
@@ -295,7 +307,8 @@ class BatchedCountSimulation {
     return series - dt * log1p_inv_n_;
   }
 
-  /// Precompute log_survival's n-only terms for the branch `n` takes; the
+  /// Precompute log_survival's n-only terms for the branch `n` takes, and
+  /// on the small-n branch empty its memo of n/2 + 1 entries (t ≤ n/2); the
   /// expressions are unchanged, so every probe's value is bit-identical.
   void cache_survival_constants(std::uint64_t n) {
     const double dn = static_cast<double>(n);
@@ -303,6 +316,7 @@ class BatchedCountSimulation {
     if (n < kSurvivalSeriesN) {
       log_factorial_n_ = detail::log_factorial(dn);
       log_pair_n_ = std::log(dn) + std::log(dn - 1.0);
+      survival_memo_.assign(n / 2 + 1, std::numeric_limits<double>::quiet_NaN());
     } else {
       log1p_inv_n_ = std::log1p(-1.0 / dn);
     }
@@ -320,11 +334,12 @@ class BatchedCountSimulation {
     // Three exact samplers for the batch's uniform pairing of 2t distinct
     // agents, with different cost profiles:
     //   * sequential — draw the agents one by one and fire each pair:
-    //     O(t log occ) plus one O(occ) prefix-sum pass.  Wins when the
-    //     expected batch is short next to the occupancy (√(πn/8) <
-    //     kSequentialOccupancy · occ; the rule reads n and occupancy only,
-    //     never the realized t), where the joint draw's O(occ) univariate
-    //     hypergeometric draws dominate (small n, many classes).
+    //     expected O(t) plus one O(occ) prefix-sum and guide-table pass.
+    //     Wins when the expected batch is short next to the occupancy
+    //     (√(πn/8) < kSequentialOccupancy · occ; the rule reads n and
+    //     occupancy only, never the realized t), where the joint draw's
+    //     O(occ) univariate hypergeometric draws dominate (small n, many
+    //     classes).
     //   * dense — joint draw, then a sequentially-sampled contingency
     //     table, one hypergeometric per (receiver class, sender class):
     //     O(occ_r · occ_s) draws.  Wins when the batch is huge relative to
@@ -376,7 +391,12 @@ class BatchedCountSimulation {
   /// firing each pair as a single interaction is exact.  A draw is a
   /// uniform slot over the prefix sums of the occupied classes; the first
   /// `joint_[i]` agents of class i stand for those already in the batch,
-  /// and a slot landing on one is redrawn.  Classes are addressed in
+  /// and a slot landing on one is redrawn.  The guide table splits the
+  /// slots into at most kGuideBuckets · occupied buckets of 2^guide_shift_
+  /// slots each; `guide_[b]` is the first class whose prefix sum exceeds
+  /// bucket b's first slot, so a draw starts its scan there and lands on
+  /// exactly the class `upper_bound` over `cum_` would return, after an
+  /// expected O(1) steps.  Classes are addressed in
   /// occupied-list order, never by id value, so JIT runs stay invariant by
   /// state label.  `joint_`/`joint_ids_` hold the drawn counts and are
   /// subtracted from `counts_` at the end, leaving the untouched agents
@@ -387,6 +407,14 @@ class BatchedCountSimulation {
     for (std::size_t k = 0; k < occupied_.size(); ++k) {
       acc += counts_[occupied_[k]];
       cum_[k] = acc;
+    }
+    guide_shift_ = 0;
+    while (((acc - 1) >> guide_shift_) >= kGuideBuckets * occupied_.size()) ++guide_shift_;
+    guide_.resize(((acc - 1) >> guide_shift_) + 1);
+    std::uint32_t first = 0;
+    for (std::size_t b = 0; b < guide_.size(); ++b) {
+      while (cum_[first] <= std::uint64_t{b} << guide_shift_) ++first;
+      guide_[b] = first;
     }
     for (std::uint64_t m = 0; m < t; ++m) {
       const std::uint32_t r = draw_fresh(rng);
@@ -407,11 +435,14 @@ class BatchedCountSimulation {
   std::uint32_t draw_fresh(Rng& rng) {
     for (;;) {
       const std::uint64_t slot = rng.below(total_);
-      const std::size_t k = static_cast<std::size_t>(
-          std::upper_bound(cum_.begin(), cum_.end(), slot) - cum_.begin());
+      std::uint32_t k = guide_[slot >> guide_shift_];
+      while (cum_[k] <= slot) ++k;
       const std::uint32_t i = occupied_[k];
       const std::uint64_t offset = slot - (k == 0 ? 0 : cum_[k - 1]);
-      if (offset < joint_[i]) continue;  // already in this batch
+      if (offset < joint_[i]) {  // already in this batch
+        ++stats_.redraws;
+        continue;
+      }
       if (joint_[i]++ == 0) joint_ids_.push_back(i);
       return i;
     }
@@ -734,6 +765,10 @@ class BatchedCountSimulation {
   /// log_survival switches from log-factorials to the log1p series here.
   static constexpr std::uint64_t kSurvivalSeriesN = 1000000;
 
+  /// pair_sequential's guide table has at most this many buckets per
+  /// occupied class.
+  static constexpr std::uint64_t kGuideBuckets = 2;
+
   FiniteSpec spec_storage_;      ///< owned in eager mode; empty in lazy mode
   const FiniteSpec* spec_;
   std::uint64_t master_seed_;    ///< every epoch substream derives from this
@@ -748,6 +783,7 @@ class BatchedCountSimulation {
   // log_survival's n-only terms, valid for population size survival_n_.
   std::uint64_t survival_n_ = 0;
   double log_factorial_n_ = 0.0, log_pair_n_ = 0.0, log1p_inv_n_ = 0.0;
+  std::vector<double> survival_memo_;  ///< log_survival(t) for n < kSurvivalSeriesN
   // Per-epoch scratch, sparse in the occupied classes (hot path allocates
   // nothing and never walks the full state range).
   std::vector<std::uint64_t> touched_, recv_, send_, joint_, cell_accum_;
@@ -755,6 +791,8 @@ class BatchedCountSimulation {
   std::vector<std::uint32_t> occupied_, joint_ids_, touched_ids_, cell_touched_;
   std::vector<std::uint32_t> sender_slots_;
   std::vector<std::uint64_t> cum_;  ///< pair_sequential's class prefix sums
+  std::vector<std::uint32_t> guide_;  ///< first class of each slot bucket
+  unsigned guide_shift_ = 0;          ///< log₂ of the slots per bucket
   ClassMultiset sender_ms_;  ///< pair_shuffle's sender multiset (reused)
 };
 

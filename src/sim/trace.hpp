@@ -38,10 +38,13 @@ class Trace {
   }
 
   /// Drive the simulation to `until` parallel time, sampling every `dt`.
+  /// Throws if dt·n < 1: each sample would then advance no interaction.
   void run(Sim& sim, double until, double dt) {
     POPS_REQUIRE(dt > 0.0, "sampling interval must be positive");
     sample(sim);
     while (sim.time() < until) {
+      POPS_REQUIRE(interactions_in(dt, sim.population_size()) >= 1,
+                   "Trace::run needs dt * n >= 1");
       sim.advance_time(dt);
       sample(sim);
     }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sim/finite_spec.hpp"
+#include "sim/require.hpp"
 #include "termination/producibility.hpp"
 
 namespace pops {
@@ -42,13 +43,16 @@ struct DensityLemmaResult {
 };
 
 /// Run from the configuration currently loaded in `sim` for `deadline`
-/// parallel time and measure counts of all states in `closure`.
+/// parallel time and measure counts of all states in `closure`.  Throws if
+/// check_dt·n < 1, where a check would advance no interaction.
 template <typename Sim>
 DensityLemmaResult measure_density_lemma(Sim& sim, const std::set<std::uint32_t>& closure,
                                          double deadline = 1.0, double check_dt = 0.01) {
   DensityLemmaResult result;
   const auto n = static_cast<double>(sim.population_size());
   while (sim.time() < deadline) {
+    POPS_REQUIRE(interactions_in(check_dt, sim.population_size()) >= 1,
+                 "measure_density_lemma needs check_dt * n >= 1");
     sim.advance_time(check_dt);
     if (result.first_all_present_time < 0.0) {
       bool all_present = true;

@@ -483,6 +483,7 @@ TEST(BatchedGolden, DensePathEpidemicCountsArePinned) {
   EXPECT_EQ(sim.count("I"), 100'541'188u);
   EXPECT_EQ(sim.stats().sequential, 0u);
   EXPECT_GT(sim.stats().dense, 0u);
+  EXPECT_EQ(sim.stats().redraws, 0u);
 }
 
 TEST(BatchedGolden, ShufflePathJitCountsArePinned) {
@@ -504,6 +505,7 @@ TEST(BatchedGolden, ShufflePathJitCountsArePinned) {
   EXPECT_EQ(digest, 0x3f8cede5659624caULL);
   EXPECT_EQ(sim.stats().sequential, 0u);
   EXPECT_GT(sim.stats().shuffle, 0u);
+  EXPECT_EQ(sim.stats().redraws, 0u);
 }
 
 TEST(BatchedGolden, SequentialPathJitCountsArePinned) {
@@ -527,6 +529,83 @@ TEST(BatchedGolden, SequentialPathJitCountsArePinned) {
   EXPECT_EQ(by_name.size(), 7u);
   EXPECT_EQ(by_name["A|l3|t12|e3|g1|s0|DUO|o3"], 2492u);
   EXPECT_EQ(digest, 0x480ce940b4bfc016ULL);
+}
+
+/// Bulk class "B" next to 128 token classes s0..s127.  No transition
+/// changes the size of "B" or the number of tokens; tokens hop between
+/// classes, (B, s_i) through a randomized cell with residual null mass.
+FiniteSpec skewed_token_spec() {
+  constexpr int kTokens = 128;
+  const auto s = [](int i) { return "s" + std::to_string(i % kTokens); };
+  FiniteSpec spec;
+  for (int i = 0; i < kTokens; ++i) {
+    spec.add(s(i), "B", s(i + 1), "B");
+    spec.add("B", s(i), "B", s(3 * i + 1), 0.5);
+    for (int j = 0; j < kTokens; ++j) {
+      if (j != i) spec.add(s(i), s(j), s(i + j), s(j));
+    }
+  }
+  return spec;
+}
+
+/// FNV-1a digest of the count vector, by state id (stable for eager specs).
+std::uint64_t counts_digest(const BatchedCountSimulation& sim) {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t c : sim.counts()) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      digest ^= (c >> shift) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  }
+  return digest;
+}
+
+TEST(BatchedGolden, SequentialPathSkewedAndResizedCountsArePinned) {
+  // Leg 1: n = 5·10³ with 97.6% of the agents in "B" next to 120 singleton
+  // token classes.  Many classes share one prefix-sum bucket, and draws in
+  // "B" land on agents already in the batch often enough to be redrawn.
+  BatchedCountSimulation sim(skewed_token_spec(), 0x601DEC);
+  sim.set_count("B", 4'880);
+  for (int i = 0; i < 120; ++i) sim.set_count("s" + std::to_string(i), 1);
+  sim.steps(20'000);
+  const auto leg1 = sim.stats();
+  EXPECT_GT(leg1.sequential, 0u);
+  EXPECT_EQ(counts_digest(sim), 0xa2c5434a0eae68b0ULL);
+  EXPECT_EQ(leg1.epochs, 431u);
+  EXPECT_EQ(leg1.sequential, 431u);
+  EXPECT_EQ(leg1.redraws, 487u);
+
+  // Leg 2: set_count resizes n between steps calls, to 3·10³ and then to
+  // 8·10³, so the collision search's per-n terms are rebuilt twice.
+  sim.set_count("B", 2'880);
+  sim.steps(10'000);
+  EXPECT_EQ(counts_digest(sim), 0x23fc8c1b4db58d7eULL);
+  sim.set_count("B", 7'880);
+  sim.steps(10'000);
+  const auto leg2 = sim.stats();
+  EXPECT_GT(leg2.sequential, leg1.sequential);
+  EXPECT_EQ(counts_digest(sim), 0x4a2d73c51651fedfULL);
+  EXPECT_EQ(leg2.epochs, 890u);
+  EXPECT_EQ(leg2.sequential, 890u);
+  EXPECT_EQ(leg2.shuffle, 0u);
+  EXPECT_EQ(leg2.dense, 0u);
+  EXPECT_EQ(leg2.redraws, 923u);
+
+  // Leg 3: n ≥ 10⁶ takes log_survival's series branch, then n falls back
+  // to 4·10³ and the small-n branch again.
+  sim.set_count("B", 2'000'000);
+  sim.steps(200'000);
+  EXPECT_EQ(counts_digest(sim), 0xe00a2c7c192f0195ULL);
+  sim.set_count("B", 3'880);
+  sim.steps(10'000);
+  EXPECT_EQ(sim.count("B"), 3'880u);
+  EXPECT_EQ(sim.population_size(), 4'000u);
+  EXPECT_EQ(counts_digest(sim), 0x5243d8e11d49cd6eULL);
+  EXPECT_EQ(sim.stats().epochs, 1349u);
+  EXPECT_EQ(sim.stats().sequential, 1129u);
+  EXPECT_EQ(sim.stats().shuffle, 0u);
+  EXPECT_EQ(sim.stats().dense, 220u);
+  EXPECT_EQ(sim.stats().redraws, 1177u);
 }
 
 }  // namespace

@@ -79,6 +79,17 @@ TEST(DensityLemma, ClosureStatesReachLinearCountsInConstantTime) {
   EXPECT_GT(min_delta, 1e-3);
 }
 
+TEST(DensityLemma, SubInteractionCheckIntervalThrows) {
+  // At its defaults (deadline 1, check_dt 0.01) on 50 agents every check
+  // interval truncates to 0 interactions: refuse instead of spinning forever.
+  const auto spec = fixed_count_trigger_spec(6);
+  ProducibilityClosure closure(spec, {spec.id("c0")}, 7, 1.0);
+  BatchedCountSimulation sim(spec, 50);
+  sim.set_count("c0", 50);
+  EXPECT_THROW(measure_density_lemma(sim, closure.closure()), std::invalid_argument);
+  EXPECT_EQ(sim.interactions(), 0u);
+}
+
 TEST(TerminatingToys, FixedCountSignalsInConstantTime) {
   // First signal at time ~ threshold/2, independent of n.
   for (std::uint64_t n : {100ULL, 1000ULL, 10000ULL}) {

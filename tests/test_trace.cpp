@@ -67,6 +67,16 @@ TEST(Trace, CsvHasHeaderAndRows) {
   EXPECT_GE(std::count(csv.begin(), csv.end(), '\n'), 4);
 }
 
+TEST(Trace, SubInteractionIntervalThrows) {
+  // dt·n = 0.5 truncates every sampling interval to 0 interactions, so
+  // time() could never reach `until`: refuse instead of spinning forever.
+  Sim sim(ValueEpidemic{}, 50, 5);
+  Trace<Sim> trace;
+  trace.observe("frac", infected_fraction);
+  EXPECT_THROW(trace.run(sim, 1.0, 0.01), std::invalid_argument);
+  EXPECT_EQ(sim.interactions(), 0u);
+}
+
 TEST(Trace, UnknownObservableThrows) {
   Sim sim(ValueEpidemic{}, 50, 5);
   Trace<Sim> trace;
