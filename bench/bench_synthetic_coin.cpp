@@ -14,6 +14,7 @@
 #include "harness/trials.hpp"
 #include "sim/agent_simulation.hpp"
 #include "sim/metrics.hpp"
+#include "sim/stepping.hpp"
 #include "stats/summary.hpp"
 
 int main() {
@@ -35,10 +36,10 @@ int main() {
         pops::AgentSimulation<pops::LogSizeEstimation> sim(
             pops::LogSizeEstimation{}, n, pops::trial_seed(0x5C1, n + t));
         pops::FieldRangeRecorder rec;
-        while (!pops::converged(sim) && sim.time() < 5e7) {
-          sim.advance_time(100.0);
-          pops::record_field_ranges(sim, rec);
-        }
+        pops::for_each_slice(sim, 100.0, 5e7, [&](const auto& s) {
+          pops::record_field_ranges(s, rec);
+          return !pops::converged(s);
+        });
         time.add(sim.time());
         err.add(std::abs(static_cast<double>(pops::estimate(sim)) - logn));
         states.add(rec.state_count_bound());
@@ -54,10 +55,10 @@ int main() {
         pops::AgentSimulation<pops::SyntheticCoinEstimation> sim(
             pops::SyntheticCoinEstimation{}, n, pops::trial_seed(0x5C2, n + t));
         pops::FieldRangeRecorder rec;
-        while (!pops::converged(sim) && sim.time() < 5e7) {
-          sim.advance_time(100.0);
-          pops::record_field_ranges(sim, rec);
-        }
+        pops::for_each_slice(sim, 100.0, 5e7, [&](const auto& s) {
+          pops::record_field_ranges(s, rec);
+          return !pops::converged(s);
+        });
         time.add(sim.time());
         const auto outs = pops::outputs(sim);
         pops::Summary o;

@@ -13,6 +13,7 @@
 
 #include "core/log_size_estimation.hpp"
 #include "sim/agent_simulation.hpp"
+#include "sim/stepping.hpp"
 #include "sim/trace.hpp"
 
 int main(int argc, char** argv) {
@@ -52,11 +53,11 @@ int main(int argc, char** argv) {
   // Sample until convergence plus a tail, on a grid adapted to the expected
   // O(log^2 n) duration.
   const double grid = 250.0;
-  while (!pops::converged(sim) && sim.time() < 5e6) {
-    trace.sample(sim);
-    sim.advance_time(grid);
-  }
   trace.sample(sim);
+  pops::for_each_slice(sim, grid, 5e6, [&](const auto& s) {
+    trace.sample(s);
+    return !pops::converged(s);
+  });
 
   trace.write_csv(std::cout);
   std::cerr << "final estimate: " << pops::estimate(sim) << " after parallel time "

@@ -15,6 +15,7 @@
 
 #include "core/uniform_leader_election.hpp"
 #include "sim/agent_simulation.hpp"
+#include "sim/stepping.hpp"
 
 int main(int argc, char** argv) {
   const std::uint64_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1000;
@@ -27,16 +28,15 @@ int main(int argc, char** argv) {
             << "(no agent knows n; stages are timed by the paper's leaderless clock).\n\n";
 
   double last_report = 0.0;
-  while (sim.time() < 1e7) {
-    sim.advance_time(50.0);
-    if (sim.time() - last_report >= 500.0) {
-      last_report = sim.time();
-      std::cout << "t=" << static_cast<std::uint64_t>(sim.time())
-                << "  stage=" << sim.agent(0).clock.stage
-                << "  contenders=" << pops::count_contenders(sim) << "\n";
+  pops::for_each_slice(sim, 50.0, 1e7, [&](const auto& s) {
+    if (s.time() - last_report >= 500.0) {
+      last_report = s.time();
+      std::cout << "t=" << static_cast<std::uint64_t>(s.time())
+                << "  stage=" << s.agent(0).clock.stage
+                << "  contenders=" << pops::count_contenders(s) << "\n";
     }
-    if (pops::clock_finished(sim)) break;
-  }
+    return !pops::clock_finished(s);
+  });
   sim.advance_time(100.0);  // final propagation sweep
 
   const auto contenders = pops::count_contenders(sim);

@@ -87,9 +87,6 @@ class ChoiceRng {
   /// Probability of the path taken by the current run (product of choices).
   double path_probability() const { return path_probability_; }
 
-  /// Choice points consumed by the current run.
-  std::size_t choices_consumed() const { return cursor_; }
-
   void begin_run() {
     cursor_ = 0;
     path_probability_ = 1.0;

@@ -148,13 +148,4 @@ class LazyCompiledSpec final : public JitCompiler {
   std::array<Shard, DispatchTable::kNumShards> shards_;
 };
 
-/// One-call path mirroring `compile_bounded`: wrap a BoundableProtocol at
-/// the given geometric cap for lazy compilation, caps tied.
-template <BoundableProtocol P>
-LazyCompiledSpec<Bounded<P>> lazy_compile_bounded(P base, std::uint32_t geometric_cap,
-                                                  CompileOptions opts = {}) {
-  Bounded<P> bounded(std::move(base), geometric_cap);
-  return LazyCompiledSpec<Bounded<P>>(std::move(bounded), geometric_cap, opts);
-}
-
 }  // namespace pops

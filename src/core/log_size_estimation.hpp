@@ -336,15 +336,6 @@ inline bool converged(const AgentSimulation<LogSizeEstimation>& sim) {
   return true;
 }
 
-/// Weaker criterion used by the paper's Figure 2: every agent reached
-/// epoch = 5·logSize2 (protocolDone).
-inline bool all_done(const AgentSimulation<LogSizeEstimation>& sim) {
-  for (const auto& a : sim.agents()) {
-    if (!a.protocol_done) return false;
-  }
-  return true;
-}
-
 /// The common output (requires `converged`).
 inline std::int32_t estimate(const AgentSimulation<LogSizeEstimation>& sim) {
   return sim.agents().front().output;

@@ -13,10 +13,12 @@
 
 #include <concepts>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/require.hpp"
 #include "sim/rng.hpp"
+#include "sim/stepping.hpp"
 
 namespace pops {
 
@@ -55,9 +57,7 @@ class AgentSimulation {
   std::uint64_t interactions() const { return interactions_; }
 
   /// Parallel time elapsed: interactions / n (paper, Section 2).
-  double time() const {
-    return static_cast<double>(interactions_) / static_cast<double>(agents_.size());
-  }
+  double time() const { return parallel_time(*this); }
 
   const std::vector<State>& agents() const { return agents_; }
   const State& agent(std::uint64_t i) const { return agents_.at(i); }
@@ -69,11 +69,7 @@ class AgentSimulation {
   Rng& rng() { return rng_; }
 
   /// Execute one interaction between a uniformly random ordered pair.
-  void step() {
-    const auto [r, s] = rng_.ordered_pair(agents_.size());
-    protocol_.interact(agents_[r], agents_[s], rng_);
-    ++interactions_;
-  }
+  void step() { steps(1); }
 
   /// Execute `k` interactions.
   void steps(std::uint64_t k) {
@@ -87,25 +83,11 @@ class AgentSimulation {
     interactions_ += k;
   }
 
-  /// Advance simulated parallel time by `dt` units (n * dt interactions).
-  void advance_time(double dt) {
-    steps(interactions_in(dt, agents_.size()));
-  }
-
-  /// Run until `done(sim)` holds, checking every `check_dt` units of parallel
-  /// time, giving up after `max_time`.  Returns the parallel time at the first
-  /// successful check, or a negative value if the cap was hit.
+  /// Parallel-time stepping (sim/stepping.hpp).
+  void advance_time(double dt) { pops::advance_time(*this, dt); }
   template <typename Pred>
   double run_until(Pred&& done, double check_dt = 1.0, double max_time = 1e12) {
-    POPS_REQUIRE(check_dt > 0.0, "run_until needs check_dt > 0");
-    while (time() < max_time) {
-      // A check interval under one interaction would never advance time().
-      const std::uint64_t k = interactions_in(check_dt, agents_.size());
-      POPS_REQUIRE(k >= 1, "run_until needs check_dt * n >= 1");
-      if (done(*this)) return time();
-      steps(k);
-    }
-    return done(*this) ? time() : -1.0;
+    return pops::run_until(*this, std::forward<Pred>(done), check_dt, max_time);
   }
 
  private:

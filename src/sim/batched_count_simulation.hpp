@@ -61,10 +61,11 @@
 // Truncating an epoch after a fixed number of interactions is also exact —
 // whether a prefix is collision-free depends only on agent identities, which
 // are independent of agent states — so `steps(k)` advances exactly k
-// interactions, and `step/steps/advance_time/run_until` mean what they mean
-// on `AgentSimulation`.  `AgentSimulation<TableProtocol>`
-// (sim/table_protocol.hpp) steps the same dispatch cells agent by agent and
-// is the exact reference the chi-square suites compare this engine against.
+// interactions, as on `AgentSimulation`; where parallel-time stepping
+// (sim/stepping.hpp) cuts `steps` calls is part of a seed's output.
+// `AgentSimulation<TableProtocol>` (sim/table_protocol.hpp) steps the same
+// dispatch cells agent by agent and is the exact reference the chi-square
+// suites compare this engine against.
 #pragma once
 
 #include <algorithm>
@@ -82,6 +83,7 @@
 #include "sim/require.hpp"
 #include "sim/rng.hpp"
 #include "sim/shared_dispatch.hpp"
+#include "sim/stepping.hpp"
 #include "stats/blocked.hpp"
 #include "stats/discrete.hpp"
 
@@ -94,7 +96,7 @@ class BatchedCountSimulation {
     spec_storage_.validate();
     owned_table_ = std::make_unique<const DispatchTable>(spec_storage_);
     table_ = owned_table_.get();
-    init_scratch(table_->num_states());
+    init_scratch();
   }
 
   /// Lazy/JIT mode: pairs compile on first contact; `jit` must outlive the
@@ -103,7 +105,7 @@ class BatchedCountSimulation {
   /// its table is lock-free to read and compile_pair is sharded.
   BatchedCountSimulation(JitCompiler& jit, std::uint64_t seed)
       : spec_(&jit.spec()), master_seed_(seed), table_(&jit.table()), jit_(&jit) {
-    init_scratch(table_->num_states());
+    init_scratch();
   }
 
   // spec_ points into own storage in eager mode; copies would dangle.
@@ -168,9 +170,7 @@ class BatchedCountSimulation {
   std::uint64_t interactions() const { return interactions_; }
   const FiniteSpec& spec() const { return *spec_; }
 
-  double time() const {
-    return static_cast<double>(interactions_) / static_cast<double>(total_);
-  }
+  double time() const { return parallel_time(*this); }
 
   /// One interaction (an epoch truncated to length 1 — still exact).
   void step() { steps(1); }
@@ -186,21 +186,11 @@ class BatchedCountSimulation {
     while (k > 0) k -= epoch(k);
   }
 
-  void advance_time(double dt) {
-    steps(interactions_in(dt, total_));
-  }
-
+  /// Parallel-time stepping (sim/stepping.hpp).
+  void advance_time(double dt) { pops::advance_time(*this, dt); }
   template <typename Pred>
   double run_until(Pred&& done, double check_dt = 1.0, double max_time = 1e12) {
-    POPS_REQUIRE(check_dt > 0.0, "run_until needs check_dt > 0");
-    while (time() < max_time) {
-      // A check interval under one interaction would never advance time().
-      const std::uint64_t k = interactions_in(check_dt, total_);
-      POPS_REQUIRE(k >= 1, "run_until needs check_dt * n >= 1");
-      if (done(*this)) return time();
-      steps(k);
-    }
-    return done(*this) ? time() : -1.0;
+    return pops::run_until(*this, std::forward<Pred>(done), check_dt, max_time);
   }
 
   /// Snapshot of all counts, indexed by state id.
@@ -653,14 +643,14 @@ class BatchedCountSimulation {
     const std::uint64_t x = rng.below(2 * untouched_total + touched_total - 1);
     std::uint32_t r_state, s_state;
     if (x < untouched_total) {  // receiver touched, sender untouched
-      r_state = draw_one_touched(t_pool, rng);
-      s_state = draw_one_untouched(u_pool, rng);
+      r_state = draw_one(touched_ids_, touched_, t_pool, rng);
+      s_state = draw_one(occupied_, counts_, u_pool, rng);
     } else if (x < 2 * untouched_total) {  // receiver untouched, sender touched
-      r_state = draw_one_untouched(u_pool, rng);
-      s_state = draw_one_touched(t_pool, rng);
+      r_state = draw_one(occupied_, counts_, u_pool, rng);
+      s_state = draw_one(touched_ids_, touched_, t_pool, rng);
     } else {  // both touched (two distinct touched agents)
-      r_state = draw_one_touched(t_pool, rng);
-      s_state = draw_one_touched(t_pool, rng);
+      r_state = draw_one(touched_ids_, touched_, t_pool, rng);
+      s_state = draw_one(touched_ids_, touched_, t_pool, rng);
     }
     const auto [out_r, out_s] = resolve_transition(r_state, s_state, rng);
     touch(out_r, 1);
@@ -669,37 +659,22 @@ class BatchedCountSimulation {
     merge_touched();
   }
 
-  /// Remove and return one uniform agent from the touched multiset (walking
-  /// the touched-id list, not the full state range).
-  std::uint32_t draw_one_touched(std::uint64_t& pool_total, Rng& rng) {
+  /// Remove and return one uniform agent of the `pool_total` that `count`
+  /// holds over the classes in `ids` (touched, or untouched over occupied).
+  static std::uint32_t draw_one(const std::vector<std::uint32_t>& ids,
+                                std::vector<std::uint64_t>& count, std::uint64_t& pool_total,
+                                Rng& rng) {
     std::uint64_t slot = rng.below(pool_total);
-    for (const std::uint32_t i : touched_ids_) {
-      const std::uint64_t c = touched_[i];
+    for (const std::uint32_t i : ids) {
+      const std::uint64_t c = count[i];
       if (slot < c) {
-        --touched_[i];
+        --count[i];
         --pool_total;
         return i;
       }
       slot -= c;
     }
-    POPS_REQUIRE(false, "corrupt touched multiset in collision draw");
-    return 0;  // unreachable
-  }
-
-  /// Remove and return one uniform untouched agent (walking the occupied
-  /// list; classes emptied by the batch draw weigh zero and are skipped).
-  std::uint32_t draw_one_untouched(std::uint64_t& pool_total, Rng& rng) {
-    std::uint64_t slot = rng.below(pool_total);
-    for (const std::uint32_t i : occupied_) {
-      const std::uint64_t c = counts_[i];
-      if (slot < c) {
-        --counts_[i];
-        --pool_total;
-        return i;
-      }
-      slot -= c;
-    }
-    POPS_REQUIRE(false, "corrupt configuration in collision draw");
+    POPS_REQUIRE(false, "corrupt multiset in collision draw");
     return 0;  // unreachable
   }
 
@@ -727,17 +702,11 @@ class BatchedCountSimulation {
 
   // ------------------------------------------------------ state growth ----
 
-  void init_scratch(std::uint32_t s) {
-    counts_.assign(s, 0);
-    touched_.assign(s, 0);
-    recv_.assign(s, 0);
-    send_.assign(s, 0);
-    joint_.assign(s, 0);
-    cell_accum_.assign(s, 0);
-    in_occupied_.assign(s, 0);
-    occupied_.reserve(s);
-    joint_ids_.reserve(s);
-    touched_ids_.reserve(s);
+  void init_scratch() {
+    sync_states();
+    occupied_.reserve(counts_.size());
+    joint_ids_.reserve(counts_.size());
+    touched_ids_.reserve(counts_.size());
   }
 
   void sync_states() {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/require.hpp"
+#include "sim/stepping.hpp"
 
 namespace pops {
 
@@ -38,16 +39,15 @@ class Trace {
   }
 
   /// Drive the simulation to `until` parallel time, sampling every `dt`.
-  /// Throws if dt·n < 1: each sample would then advance no interaction.
+  /// Throws if dt·n < 1, where each sample would advance no interaction,
+  /// and for a population under two agents.
   void run(Sim& sim, double until, double dt) {
     POPS_REQUIRE(dt > 0.0, "sampling interval must be positive");
     sample(sim);
-    while (sim.time() < until) {
-      POPS_REQUIRE(interactions_in(dt, sim.population_size()) >= 1,
-                   "Trace::run needs dt * n >= 1");
-      sim.advance_time(dt);
-      sample(sim);
-    }
+    for_each_slice(sim, dt, until, [this](const Sim& s) {
+      sample(s);
+      return true;
+    });
   }
 
   std::size_t samples() const { return rows_.size(); }

@@ -53,10 +53,4 @@ inline double quantile(std::vector<double> xs, double q) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-inline double mean_of(const std::vector<double>& xs) {
-  Summary s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
 }  // namespace pops

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "sim/finite_spec.hpp"
-#include "sim/require.hpp"
+#include "sim/stepping.hpp"
 #include "termination/producibility.hpp"
 
 namespace pops {
@@ -43,28 +43,25 @@ struct DensityLemmaResult {
 };
 
 /// Run from the configuration currently loaded in `sim` for `deadline`
-/// parallel time and measure counts of all states in `closure`.  Throws if
-/// check_dt·n < 1, where a check would advance no interaction.
+/// parallel time and measure counts of all states in `closure`, checking
+/// for all of them at the start and every `check_dt`.  Throws for a
+/// population under two agents and if check_dt·n < 1, where a check would
+/// advance no interaction.
 template <typename Sim>
 DensityLemmaResult measure_density_lemma(Sim& sim, const std::set<std::uint32_t>& closure,
                                          double deadline = 1.0, double check_dt = 0.01) {
   DensityLemmaResult result;
   const auto n = static_cast<double>(sim.population_size());
-  while (sim.time() < deadline) {
-    POPS_REQUIRE(interactions_in(check_dt, sim.population_size()) >= 1,
-                 "measure_density_lemma needs check_dt * n >= 1");
-    sim.advance_time(check_dt);
-    if (result.first_all_present_time < 0.0) {
-      bool all_present = true;
-      for (auto s : closure) {
-        if (sim.count(s) == 0) {
-          all_present = false;
-          break;
-        }
-      }
-      if (all_present) result.first_all_present_time = sim.time();
+  const auto check_present = [&](const Sim& s) {
+    const auto present = [&](std::uint32_t state) { return s.count(state) != 0; };
+    if (result.first_all_present_time < 0.0 &&
+        std::all_of(closure.begin(), closure.end(), present)) {
+      result.first_all_present_time = s.time();
     }
-  }
+    return true;
+  };
+  check_present(sim);
+  for_each_slice(sim, check_dt, deadline, check_present);
   double min_fraction = 1.0;
   for (auto s : closure) {
     const std::uint64_t c = sim.count(s);

@@ -29,6 +29,7 @@
 #include "proto/semilinear.hpp"
 #include "sim/batched_count_simulation.hpp"
 #include "sim/table_protocol.hpp"
+#include "sim/trace.hpp"
 #include "stats/chi_square.hpp"
 
 namespace pops {
@@ -147,6 +148,18 @@ TEST(BatchedCountSimulation, EpidemicCompletes) {
   EXPECT_THROW(tiny_dt.run_until(
                    [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 1e-4,
                    1.0),
+               std::invalid_argument);
+  // An engine with no agents loaded — fresh or reset — has no parallel time
+  // (0/0), and the predicate already holds on it: refuse, don't return.
+  BatchedCountSimulation empty(epidemic_spec(), 7);
+  EXPECT_THROW(empty.run_until(
+                   [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 1.0,
+                   1000.0),
+               std::invalid_argument);
+  sim.reset(8);
+  EXPECT_THROW(sim.run_until(
+                   [](const BatchedCountSimulation& s) { return s.count("S") == 0; }, 1.0,
+                   1000.0),
                std::invalid_argument);
 }
 
@@ -529,6 +542,50 @@ TEST(BatchedGolden, SequentialPathJitCountsArePinned) {
   EXPECT_EQ(by_name.size(), 7u);
   EXPECT_EQ(by_name["A|l3|t12|e3|g1|s0|DUO|o3"], 2492u);
   EXPECT_EQ(digest, 0x480ce940b4bfc016ULL);
+}
+
+TEST(BatchedGolden, TimeSlicingIsPinned) {
+  // The batched engine's output depends on where steps() calls cut its
+  // epochs, so this pins how run_until and Trace::run slice time.  dt·n =
+  // 0.37 · 1003 = 371.11 is not an integer: each slice is 371 steps.
+  constexpr std::uint64_t kN = 1003;
+  constexpr double kDt = 0.37;
+  const auto seeded = [](BatchedCountSimulation& sim) {
+    sim.set_count("S", kN - 1);
+    sim.set_count("I", 1);
+  };
+  const auto saturated = [](const BatchedCountSimulation& s) { return s.count("S") == 0; };
+
+  BatchedCountSimulation sim(epidemic_spec(), 0x601DED);
+  seeded(sim);
+  const double t = sim.run_until(saturated, kDt, 1000.0);
+  EXPECT_EQ(sim.interactions(), 7'420u);
+  EXPECT_EQ(t, static_cast<double>(7'420u) / kN);
+  EXPECT_EQ(sim.count("I"), kN);
+
+  // The cap: 2.0 is crossed by the sixth slice, after 2226 steps.
+  sim.reset(0x601DEE);
+  seeded(sim);
+  EXPECT_EQ(sim.run_until([](const BatchedCountSimulation&) { return false; }, kDt, 2.0), -1.0);
+  EXPECT_EQ(sim.interactions(), 6u * 371u);
+  EXPECT_EQ(sim.count("I"), 172u);
+
+  // Trace samples at the start and after each of the 14 slices to t = 5.
+  sim.reset(0x601DEF);
+  seeded(sim);
+  Trace<BatchedCountSimulation> trace;
+  trace.observe("I", [](const BatchedCountSimulation& s) {
+    return static_cast<double>(s.count("I"));
+  });
+  trace.run(sim, 5.0, kDt);
+  ASSERT_EQ(trace.samples(), 15u);
+  std::vector<double> infected;
+  for (std::size_t i = 0; i < trace.samples(); ++i) {
+    EXPECT_EQ(trace.time_at(i), static_cast<double>(371 * i) / kN);
+    infected.push_back(trace.value(i, "I"));
+  }
+  EXPECT_EQ(infected, (std::vector<double>{1, 3, 3, 10, 15, 32, 56, 92, 174, 308, 480, 659,
+                                           818, 902, 949}));
 }
 
 /// Bulk class "B" next to 128 token classes s0..s127.  No transition

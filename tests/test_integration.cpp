@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/leader_terminating_estimation.hpp"
 #include "core/log_size_estimation.hpp"
@@ -44,26 +45,27 @@ TEST(Integration, AdditiveVsMultiplicativeEstimators) {
   // main protocol's additive error should beat the baseline's at moderate n.
   constexpr std::uint64_t kN = 4096;  // log n = 12
   const double logn = 12.0;
-  Summary main_err, base_err;
-  for (int trial = 0; trial < 4; ++trial) {
-    AgentSimulation<LogSizeEstimation> main_sim(LogSizeEstimation{}, kN,
-                                                trial_seed(223, trial));
-    ASSERT_GE(
-        main_sim.run_until(
-            [](const AgentSimulation<LogSizeEstimation>& s) { return converged(s); },
-            50.0, 5e6),
-        0.0);
-    main_err.add(std::abs(static_cast<double>(estimate(main_sim)) - logn));
-
+  struct Trial {
+    double main_time, main_estimate, base_time, base_estimate;
+  };
+  const auto trials = run_trials_parallel(4, 223, [](std::uint64_t seed, std::uint64_t i) {
+    AgentSimulation<LogSizeEstimation> main_sim(LogSizeEstimation{}, kN, seed);
+    const double main_time = main_sim.run_until(
+        [](const AgentSimulation<LogSizeEstimation>& s) { return converged(s); }, 50.0, 5e6);
     AgentSimulation<MaxGeometricEstimate> base_sim(MaxGeometricEstimate{}, kN,
-                                                   trial_seed(227, trial));
-    ASSERT_GE(base_sim.run_until(
-                  [](const AgentSimulation<MaxGeometricEstimate>& s) {
-                    return converged(s);
-                  },
-                  5.0, 1e6),
-              0.0);
-    base_err.add(std::abs(static_cast<double>(base_sim.agent(0).estimate) - logn));
+                                                   trial_seed(227, i));
+    const double base_time = base_sim.run_until(
+        [](const AgentSimulation<MaxGeometricEstimate>& s) { return converged(s); }, 5.0,
+        1e6);
+    return Trial{main_time, static_cast<double>(estimate(main_sim)), base_time,
+                 static_cast<double>(base_sim.agent(0).estimate)};
+  });
+  Summary main_err, base_err;
+  for (const Trial& t : trials) {
+    ASSERT_GE(t.main_time, 0.0);
+    main_err.add(std::abs(t.main_estimate - logn));
+    ASSERT_GE(t.base_time, 0.0);
+    base_err.add(std::abs(t.base_estimate - logn));
   }
   EXPECT_LE(main_err.mean(), base_err.mean() + 1.0)
       << "the additive estimator should not be worse than the max-geometric one";
@@ -75,27 +77,34 @@ TEST(Integration, TerminationDichotomy) {
   // n; the leader-driven protocol's grows.  Measure both on the same sizes.
   auto dense_signal = [](std::uint64_t n, std::uint64_t seed) {
     AgentSimulation<FixedCountTrigger> sim(FixedCountTrigger{60}, n, seed);
-    const double t = sim.run_until(
+    return sim.run_until(
         [](const AgentSimulation<FixedCountTrigger>& s) { return any_terminated(s); }, 1.0,
         1e6);
-    EXPECT_GE(t, 0.0);
-    return t;
   };
   auto leader_signal = [](std::uint64_t n, std::uint64_t seed) {
     LeaderTerminatingEstimation proto;
     AgentSimulation<LeaderTerminatingEstimation> sim(proto, n, seed);
     Rng rng(seed ^ 0x5555);
     sim.set_state(0, proto.make_leader(rng));
-    const double t = sim.run_until(
+    return sim.run_until(
         [](const AgentSimulation<LeaderTerminatingEstimation>& s) {
           return any_terminated(s);
         },
         25.0, 1e7);
-    EXPECT_GE(t, 0.0);
-    return t;
   };
-  const double dense_small = dense_signal(128, 1), dense_large = dense_signal(4096, 2);
-  const double lead_small = leader_signal(128, 3), lead_large = leader_signal(2048, 4);
+  // Four independent runs, seeded 1..4 as listed, fanned out over the
+  // executor; the trial seed is unused.
+  const auto signal = run_trials_parallel(4, 0, [&](std::uint64_t, std::uint64_t i) {
+    switch (i) {
+      case 0: return dense_signal(128, 1);
+      case 1: return dense_signal(4096, 2);
+      case 2: return leader_signal(128, 3);
+      default: return leader_signal(2048, 4);
+    }
+  });
+  for (const double t : signal) EXPECT_GE(t, 0.0);
+  const double dense_small = signal[0], dense_large = signal[1];
+  const double lead_small = signal[2], lead_large = signal[3];
   EXPECT_LT(dense_large, 2.0 * dense_small + 10.0) << "dense signal time must stay flat";
   EXPECT_GT(lead_large, 1.5 * lead_small) << "leader signal time must grow";
 }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/log_size_estimation.hpp"
 #include "harness/trials.hpp"
 #include "sim/agent_simulation.hpp"
 #include "sim/metrics.hpp"
+#include "sim/stepping.hpp"
 #include "stats/summary.hpp"
 
 namespace pops {
@@ -15,8 +18,25 @@ namespace {
 
 using Sim = AgentSimulation<LogSizeEstimation>;
 
-double run_to_convergence(Sim& sim, double max_time = 5e6) {
-  return sim.run_until([](const Sim& s) { return converged(s); }, 50.0, max_time);
+double run_to_convergence(Sim& sim, double max_time = 5e6, double check_dt = 50.0) {
+  return sim.run_until([](const Sim& s) { return converged(s); }, check_dt, max_time);
+}
+
+/// One run to convergence: its time (negative at the cap) and estimate.
+struct Converged {
+  double time;
+  std::int32_t estimate;
+};
+
+/// `trials` runs at population `n`, seeded trial_seed(master, i), fanned out
+/// over the executor; results come back in trial order.
+std::vector<Converged> converge_trials(std::uint64_t trials, std::uint64_t master,
+                                       std::uint64_t n, double check_dt = 50.0) {
+  return run_trials_parallel(trials, master, [=](std::uint64_t seed, std::uint64_t) {
+    Sim sim(LogSizeEstimation{}, n, seed);
+    const double t = run_to_convergence(sim, 5e6, check_dt);
+    return Converged{t, t >= 0.0 ? estimate(sim) : 0};
+  });
 }
 
 TEST(LogSizeEstimation, ConvergesAndAllAgentsAgree) {
@@ -36,10 +56,9 @@ TEST(LogSizeEstimation, EstimateWithinPaperErrorBound) {
   constexpr std::uint64_t kN = 1024;
   const double logn = 10.0;
   int failures = 0;
-  for (int trial = 0; trial < 12; ++trial) {
-    Sim sim(LogSizeEstimation{}, kN, trial_seed(3, trial));
-    ASSERT_GE(run_to_convergence(sim), 0.0);
-    if (std::abs(static_cast<double>(estimate(sim)) - logn) > 5.7) ++failures;
+  for (const auto& run : converge_trials(12, 3, kN)) {
+    ASSERT_GE(run.time, 0.0);
+    if (std::abs(static_cast<double>(run.estimate) - logn) > 5.7) ++failures;
   }
   EXPECT_LE(failures, 1);
 }
@@ -49,10 +68,9 @@ TEST(LogSizeEstimation, EstimateTypicallyWithinTwo) {
   constexpr std::uint64_t kN = 2048;
   int within_two = 0;
   constexpr int kTrials = 8;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    Sim sim(LogSizeEstimation{}, kN, trial_seed(5, trial));
-    ASSERT_GE(run_to_convergence(sim), 0.0);
-    if (std::abs(static_cast<double>(estimate(sim)) - 11.0) <= 2.0) ++within_two;
+  for (const auto& run : converge_trials(kTrials, 5, kN)) {
+    ASSERT_GE(run.time, 0.0);
+    if (std::abs(static_cast<double>(run.estimate) - 11.0) <= 2.0) ++within_two;
   }
   EXPECT_GE(within_two, kTrials - 1);
 }
@@ -79,17 +97,15 @@ TEST(LogSizeEstimation, ConvergenceTimeScalesAsPolylog) {
   // Time should grow ~log^2 n: n -> 16n should much less than double it per
   // factor... concretely t(4096)/t(256) should be well below the linear
   // ratio 16 and the estimates of both within bounds.
-  auto timed = [](std::uint64_t n, std::uint64_t seed) {
-    Sim sim(LogSizeEstimation{}, n, seed);
-    const double t = sim.run_until([](const Sim& s) { return converged(s); }, 25.0, 5e6);
-    EXPECT_GE(t, 0.0);
-    return t;
+  auto timed = [](std::uint64_t n, std::uint64_t master) {
+    Summary times;
+    for (const auto& run : converge_trials(3, master, n, 25.0)) {
+      EXPECT_GE(run.time, 0.0);
+      times.add(run.time);
+    }
+    return times;
   };
-  Summary small, large;
-  for (int i = 0; i < 3; ++i) {
-    small.add(timed(256, trial_seed(13, i)));
-    large.add(timed(4096, trial_seed(17, i)));
-  }
+  const Summary small = timed(256, 13), large = timed(4096, 17);
   EXPECT_LT(large.mean() / small.mean(), 6.0);  // log^2 ratio ~ (12/8)^2 = 2.25
 }
 
@@ -113,10 +129,10 @@ TEST(LogSizeEstimation, FieldRangesMatchLemma39Orders) {
   const double logn = 9.0;
   Sim sim(LogSizeEstimation{}, kN, 23);
   FieldRangeRecorder rec;
-  while (!converged(sim) && sim.time() < 5e6) {
-    sim.advance_time(100.0);
-    record_field_ranges(sim, rec);
-  }
+  for_each_slice(sim, 100.0, 5e6, [&](const Sim& s) {
+    record_field_ranges(s, rec);
+    return !converged(s);
+  });
   ASSERT_TRUE(converged(sim));
   EXPECT_LE(rec.max_value("logSize2"), 2 * logn + 1);
   EXPECT_LE(rec.max_value("gr"), 2 * logn);
@@ -190,14 +206,14 @@ TEST(LogSizeEstimation, SumIsBoundedByEpochTimesMaxGr) {
   // Every S agent's sum is at most epoch * max-gr-so-far — each epoch adds
   // exactly one gr value.
   Sim sim(LogSizeEstimation{}, 400, 43);
-  while (!converged(sim) && sim.time() < 5e6) {
-    sim.advance_time(200.0);
-    for (const auto& a : sim.agents()) {
+  for_each_slice(sim, 200.0, 5e6, [](const Sim& s) {
+    for (const auto& a : s.agents()) {
       if (a.role == Role::S && a.epoch > 0) {
         EXPECT_LE(a.sum, a.epoch * 64u) << "sum grossly out of range";
       }
     }
-  }
+    return !converged(s);
+  });
 }
 
 TEST(LogSizeEstimation, ParamsAreValidated) {

@@ -88,6 +88,19 @@ TEST(DensityLemma, SubInteractionCheckIntervalThrows) {
   sim.set_count("c0", 50);
   EXPECT_THROW(measure_density_lemma(sim, closure.closure()), std::invalid_argument);
   EXPECT_EQ(sim.interactions(), 0u);
+  // An engine with no agents loaded has no parallel time (0/0) to step.
+  BatchedCountSimulation empty(spec, 51);
+  EXPECT_THROW(measure_density_lemma(empty, closure.closure()), std::invalid_argument);
+}
+
+TEST(DensityLemma, ClosurePresentAtStartReportsStartTime) {
+  // Every closure state is present before the first check interval, so the
+  // first time all are present is the start, not the first grid point.
+  const auto spec = fixed_count_trigger_spec(6);
+  BatchedCountSimulation sim(spec, 52);
+  sim.set_count("c0", 1000);
+  const auto result = measure_density_lemma(sim, {spec.id("c0")});
+  EXPECT_EQ(result.first_all_present_time, 0.0);
 }
 
 TEST(TerminatingToys, FixedCountSignalsInConstantTime) {
