@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # ThreadSanitizer check for the sharded JIT, the parallel eager closure,
-# parallel trials (test_parallel_epochs runs serial batched trials fanned
-# out over the pool) and the process-wide executor: configure a TSan build tree
-# (CMAKE_BUILD_TYPE=TSan, see CMakeLists.txt), build the
+# the eager dispatch-table build (test_dispatch: its shards build as pool
+# tasks), parallel trials (test_parallel_epochs runs serial batched trials
+# fanned out over the pool) and the process-wide executor: configure a TSan
+# build tree (CMAKE_BUILD_TYPE=TSan, see CMakeLists.txt), build the
 # concurrency-sensitive test binaries, and run them under the race
 # detector.  Registered as the tier-2 ctest target `tsan_concurrency` and
 # run by the tier-2 CI job (.github/workflows/ci.yml); also runnable by
@@ -14,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-${POPS_TSAN_BUILD_DIR:-build-tsan}}"
 TARGETS=(test_executor test_lazy_compile test_jit_concurrency test_trials
-         test_parallel_epochs)
+         test_parallel_epochs test_dispatch)
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=TSan
 cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}"

@@ -21,6 +21,11 @@
 //      The emitted state set equals the producibility closure Λ^∞_ρ of the
 //      emitted spec from the initial states (termination/producibility.hpp),
 //      which `closure_matches` cross-checks.
+//   3. Check the spec's rules as it is emitted: `FiniteSpec::add` checks
+//      each transition, and each pair's rates, summed as they are added,
+//      must stay within `FiniteSpec::require_pair_rate`.  Each pair is
+//      emitted exactly once and in one piece, so the spec leaves the
+//      compiler valid with no `validate()` pass over its transitions.
 //
 // Encoding / interning scheme: each distinct agent state is identified by
 // its *canonical key* — the field tuple packed by the protocol's `state_key`
@@ -357,7 +362,6 @@ class ProtocolCompiler {
     // and its name accessors are pure concurrent-safe reads.  Only the
     // JIT path (LazyCompiledSpec) keeps labels deferred; it owns its core.
     out.spec.materialize_names();
-    out.spec.validate();
     return out;
   }
 
@@ -393,9 +397,12 @@ class ProtocolCompiler {
 
   void emit(std::uint32_t r, std::uint32_t s, std::vector<CellEntry>& scratch) {
     core_.explore(r, s, scratch);
+    double total = 0.0;
     for (const auto& c : scratch) {
       core_.mutable_spec().add(r, s, c.out_receiver, c.out_sender, c.rate);
+      total += c.rate;
     }
+    core_.spec().require_pair_rate(r, s, total);
     require_transition_room();
   }
 
@@ -511,12 +518,15 @@ class ProtocolCompiler {
         if (memo == kUnresolved) memo = core_.intern(wo.local[id & ~kProvisional]);
         return memo;
       };
+      double total = 0.0;
       for (std::uint32_t i = 0; i < pc.len; ++i) {
         const CellEntry& e = wo.entries[pc.offset + i];
         const std::uint32_t out_receiver = global_id(e.out_receiver);
         const std::uint32_t out_sender = global_id(e.out_sender);
         core_.mutable_spec().add(r, s, out_receiver, out_sender, e.rate);
+        total += e.rate;
       }
+      core_.spec().require_pair_rate(r, s, total);
       require_transition_room();
     }
   }

@@ -93,7 +93,6 @@ class BatchedCountSimulation {
  public:
   BatchedCountSimulation(FiniteSpec spec, std::uint64_t seed)
       : spec_storage_(std::move(spec)), spec_(&spec_storage_), master_seed_(seed) {
-    spec_storage_.validate();
     owned_table_ = std::make_unique<const DispatchTable>(spec_storage_);
     table_ = owned_table_.get();
     init_scratch();

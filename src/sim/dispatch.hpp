@@ -7,7 +7,14 @@
 //
 //   * eager — `DispatchTable(spec)` groups a complete spec's transitions
 //     into cells once, each row sized to its final cell count, and is then
-//     only read (safe to share across simulator threads as-is);
+//     only read (safe to share across simulator threads as-is).  The build
+//     is also where an eager spec is checked: its counting pass applies
+//     `FiniteSpec::require_transition` to every transition and its grouping
+//     applies the per-pair rate rule to every cell, so simulators load a
+//     spec without a separate `validate()` pass.  The 16 shards build as
+//     executor tasks (core/executor.hpp); each shard's rows go in
+//     increasing receiver order, so the table is the same at every
+//     executor width;
 //   * lazy/JIT — `DispatchTable(max_states, max_pairs)` starts empty and
 //     `LazyCompiledSpec` (compile/lazy.hpp) registers each pair on first
 //     contact (`grow_states` + `set_cell`) while simulators on other threads
@@ -49,12 +56,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "core/executor.hpp"
 #include "sim/finite_spec.hpp"
 #include "sim/require.hpp"
 #include "sim/stable_arena.hpp"
@@ -99,42 +108,42 @@ class DispatchTable {
   /// without ever materializing the S² grid (counting sort by receiver, then
   /// an in-row stable sort by sender keeps each cell's entries in spec
   /// order, which fixes the cumulative-rate walk and the binomial-split
-  /// order).  Each row is allocated once at its final cell count.
+  /// order).  Each row is allocated once at its final cell count.  Throws
+  /// on a transition or a pair that breaks the spec's rules, naming the
+  /// over-rate pair of lowest receiver, then lowest sender.
   explicit DispatchTable(const FiniteSpec& spec)
       : DispatchTable(spec.num_states(), spec.transitions().size()) {
     const std::uint32_t n = spec.num_states();
     grow_states(n);
     const auto& ts = spec.transitions();
     std::vector<std::uint32_t> row_start(n + 1, 0);
-    for (const auto& t : ts) ++row_start[t.in_receiver + 1];
+    for (const auto& t : ts) {
+      spec.require_transition(t);
+      ++row_start[t.in_receiver + 1];
+    }
     for (std::uint32_t r = 0; r < n; ++r) row_start[r + 1] += row_start[r];
     std::vector<std::uint32_t> order(ts.size());
     {
       std::vector<std::uint32_t> cursor(row_start.begin(), row_start.end() - 1);
       for (std::uint32_t i = 0; i < ts.size(); ++i) order[cursor[ts[i].in_receiver]++] = i;
     }
-    std::vector<Entry> cell;
-    for (std::uint32_t r = 0; r < n; ++r) {
-      const auto row_begin = order.begin() + row_start[r];
-      const auto row_end = order.begin() + row_start[r + 1];
-      if (row_begin == row_end) continue;
-      std::stable_sort(row_begin, row_end, [&](std::uint32_t a, std::uint32_t b) {
-        return ts[a].in_sender < ts[b].in_sender;
-      });
-      std::size_t cells = 1;
-      for (auto it = row_begin + 1; it != row_end; ++it) {
-        cells += ts[*it].in_sender != ts[*(it - 1)].in_sender ? 1 : 0;
-      }
-      Shard& sh = *shards_[shard_of(r)];
-      Row& row = publish_row(sh, r, row_capacity(cells));
-      for (auto it = row_begin; it != row_end;) {
-        const std::uint32_t s = ts[*it].in_sender;
-        cell.clear();
-        for (; it != row_end && ts[*it].in_sender == s; ++it) {
-          cell.push_back(Entry{ts[*it].out_receiver, ts[*it].out_sender, ts[*it].rate});
-        }
-        place(row, s, store_cell(sh, cell.data(), static_cast<std::uint32_t>(cell.size())));
-      }
+    // Shards share no storage, so each one's rows build as a task of their
+    // own (inline in wait() at width 1); within a shard they go in
+    // increasing receiver order, so arena positions and row versions match
+    // at any width.
+    std::array<RateFault, kNumShards> faults;
+    Executor::TaskGroup group;
+    for (std::uint32_t k = 0; k < kNumShards; ++k) {
+      group.run([&, k] { faults[k] = build_shard(k, ts, row_start, order); });
+    }
+    group.wait();
+    // Names are read only here, after the join: the lowest over-rate
+    // receiver is the pair a serial row-order build would meet first.
+    const RateFault& first = *std::min_element(
+        faults.begin(), faults.end(),
+        [](const RateFault& a, const RateFault& b) { return a.receiver < b.receiver; });
+    if (first.receiver != RateFault::kNone) {
+      spec.require_pair_rate(first.receiver, first.sender, first.total);
     }
   }
 
@@ -190,7 +199,9 @@ class DispatchTable {
     POPS_REQUIRE(r < num_states() && s < num_states(), "set_cell state out of range");
     POPS_REQUIRE(!find(r, s).present, "pair registered twice");
     Shard& sh = *shards_[shard_of(r)];
-    const std::uint32_t code = store_cell(sh, cell, len);
+    double total = 0.0;
+    for (std::uint32_t i = 0; i < len; ++i) total += cell[i].rate;
+    const std::uint32_t code = store_cell(sh, cell, len, total);
     Row* row = row_slot(r).load(std::memory_order_relaxed);
     const std::size_t size = row == nullptr ? 0 : row->size;
     if (row == nullptr || row_capacity(size + 1) > row->mask + 1) {
@@ -299,24 +310,67 @@ class DispatchTable {
     std::atomic<std::size_t> num_entries{0};
   };
 
+  /// A shard's first cell over the per-pair rate rule (kNone: none).
+  struct RateFault {
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+    std::uint32_t receiver = kNone;
+    std::uint32_t sender = 0;
+    double total = 0.0;
+  };
+
+  /// Eager build of shard k: rows r ≡ k (mod kNumShards) in increasing r,
+  /// from the receiver-sorted `order` of `ts`.  Stops at its first
+  /// over-rate cell and returns it.
+  RateFault build_shard(std::uint32_t k, const std::vector<Transition>& ts,
+                        const std::vector<std::uint32_t>& row_start,
+                        std::vector<std::uint32_t>& order) {
+    Shard& sh = *shards_[k];
+    const auto n = static_cast<std::uint32_t>(row_start.size() - 1);
+    std::vector<Entry> cell;
+    for (std::uint32_t r = k; r < n; r += kNumShards) {
+      const auto row_begin = order.begin() + row_start[r];
+      const auto row_end = order.begin() + row_start[r + 1];
+      if (row_begin == row_end) continue;
+      std::stable_sort(row_begin, row_end, [&](std::uint32_t a, std::uint32_t b) {
+        return ts[a].in_sender < ts[b].in_sender;
+      });
+      std::size_t cells = 1;
+      for (auto it = row_begin + 1; it != row_end; ++it) {
+        cells += ts[*it].in_sender != ts[*(it - 1)].in_sender ? 1 : 0;
+      }
+      Row& row = publish_row(sh, r, row_capacity(cells));
+      for (auto it = row_begin; it != row_end;) {
+        const std::uint32_t s = ts[*it].in_sender;
+        cell.clear();
+        double total = 0.0;
+        for (; it != row_end && ts[*it].in_sender == s; ++it) {
+          cell.push_back(Entry{ts[*it].out_receiver, ts[*it].out_sender, ts[*it].rate});
+          total += ts[*it].rate;
+        }
+        if (!FiniteSpec::pair_rate_ok(total)) return RateFault{r, s, total};
+        place(row, s,
+              store_cell(sh, cell.data(), static_cast<std::uint32_t>(cell.size()), total));
+      }
+    }
+    return RateFault{};
+  }
+
   std::atomic<Row*>& row_slot(std::uint32_t receiver) const {
     return row_blocks_[receiver / kRowBlock][receiver % kRowBlock];
   }
 
   /// Copy a cell's entries into the shard's storage and return its row-slot
-  /// code (kNullCode for len 0).  Caller holds the shard lock.
-  static std::uint32_t store_cell(Shard& sh, const Entry* cell, std::uint32_t len) {
+  /// code (kNullCode for len 0).  `total` is the entries' rates summed in
+  /// order, which the caller has already walked.  Caller holds the shard lock.
+  static std::uint32_t store_cell(Shard& sh, const Entry* cell, std::uint32_t len,
+                                  double total) {
     sh.registered.fetch_add(1, std::memory_order_relaxed);
     if (len == 0) {
       sh.null_cells.fetch_add(1, std::memory_order_relaxed);
       return kNullCode;
     }
     Entry* dst = sh.alloc_entries(len);
-    double total = 0.0;
-    for (std::uint32_t i = 0; i < len; ++i) {
-      dst[i] = cell[i];
-      total += cell[i].rate;
-    }
+    std::copy(cell, cell + len, dst);
     const CellKind kind = (len == 1 && dst[0].rate >= 1.0) ? CellKind::kDeterministic
                                                            : CellKind::kRandomized;
     sh.num_entries.fetch_add(len, std::memory_order_relaxed);

@@ -6,6 +6,19 @@
 // concrete: named states plus a list of randomized transitions.  It backs
 //   * `BatchedCountSimulation` (exact simulation of the configuration vector), and
 //   * `producibility` (the Λ^m_ρ closure used by Theorem 4.1 / Lemma 4.2).
+//
+// Its rules are written here once and enforced where a spec is already
+// walked, not by an extra pass:
+//   * per transition — known state ids and a rate in (0, 1]
+//     (`require_transition`): `add` checks each transition as it comes in,
+//     and the eager `DispatchTable(spec)` build checks them all in its
+//     counting pass;
+//   * per input pair — rates summed in spec order at most 1 up to 1e-12
+//     rounding, the rest null mass (`require_pair_rate`): the compiler
+//     checks each pair as it emits it (compile/compiler.hpp), and the eager
+//     table build checks each cell where it groups it (sim/dispatch.hpp).
+// `validate()` checks both over a whole spec, for hand-built specs that
+// never reach a table.
 #pragma once
 
 #include <cstdint>
@@ -117,10 +130,9 @@ class FiniteSpec {
   /// no name lookups on the emission path.  All ids must already exist.
   void add(std::uint32_t a, std::uint32_t b, std::uint32_t c, std::uint32_t d,
            double rate = 1.0) {
-    POPS_REQUIRE(rate > 0.0 && rate <= 1.0, "transition rate must lie in (0, 1]");
-    const auto n = num_states();
-    POPS_REQUIRE(a < n && b < n && c < n && d < n, "transition uses unknown state id");
-    transitions_.push_back(Transition{a, b, c, d, rate});
+    const Transition t{a, b, c, d, rate};
+    require_transition(t);
+    transitions_.push_back(t);
   }
 
   /// Symmetric convenience: adds both a,b → c,d and b,a → d,c.
@@ -141,25 +153,37 @@ class FiniteSpec {
     return total;
   }
 
-  /// Check every transition (ids in range, rate in (0, 1]) and the rate
-  /// discipline for every input pair, whose total add() cannot check until
-  /// all of the pair's transitions are in.  Hash-keyed so compiled specs
-  /// with millions of transitions validate in linear time.
-  void validate() const {
+  /// The per-transition rule: every state id known, rate in (0, 1].
+  void require_transition(const Transition& t) const {
+    POPS_REQUIRE(t.rate > 0.0 && t.rate <= 1.0, "transition rate must lie in (0, 1]");
     const auto n = num_states();
+    POPS_REQUIRE(t.in_receiver < n && t.in_sender < n && t.out_receiver < n &&
+                     t.out_sender < n,
+                 "transition uses unknown state id");
+  }
+
+  /// The per-pair rule on `total`, the rates of pair (a, b)'s transitions
+  /// summed in spec order: at most 1 up to rounding.  Split from the throw
+  /// so a parallel check can test totals without reading names.
+  static bool pair_rate_ok(double total) { return total <= 1.0 + 1e-12; }
+  void require_pair_rate(std::uint32_t a, std::uint32_t b, double total) const {
+    POPS_REQUIRE(pair_rate_ok(total),
+                 "transition rates for pair (" + name(a) + ", " + name(b) + ") exceed 1");
+  }
+
+  /// Check both rules over the whole spec.  Hash-keyed, so it runs in
+  /// linear time, but compiled specs never need it: the compiler and the
+  /// eager table build check the same rules as they go.
+  void validate() const {
     std::unordered_map<std::uint64_t, double> totals;
     totals.reserve(transitions_.size());
     for (const auto& t : transitions_) {
-      POPS_REQUIRE(t.in_receiver < n && t.in_sender < n && t.out_receiver < n &&
-                       t.out_sender < n,
-                   "transition uses unknown state id");
-      POPS_REQUIRE(t.rate > 0.0 && t.rate <= 1.0, "transition rate must lie in (0, 1]");
+      require_transition(t);
       totals[(static_cast<std::uint64_t>(t.in_receiver) << 32) | t.in_sender] += t.rate;
     }
     for (const auto& [key, total] : totals) {
-      POPS_REQUIRE(total <= 1.0 + 1e-12,
-                   "transition rates for pair (" + name(static_cast<std::uint32_t>(key >> 32)) +
-                       ", " + name(static_cast<std::uint32_t>(key)) + ") exceed 1");
+      require_pair_rate(static_cast<std::uint32_t>(key >> 32), static_cast<std::uint32_t>(key),
+                        total);
     }
   }
 

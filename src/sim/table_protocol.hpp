@@ -21,10 +21,10 @@ class TableProtocol {
  public:
   using State = std::uint32_t;
 
-  /// Eager mode: `spec` is validated and loaded into a table the copies share.
+  /// Eager mode: `spec` is loaded into a table the copies share (the table
+  /// build checks the spec's rules).
   explicit TableProtocol(const FiniteSpec& spec)
-      : owned_((spec.validate(), std::make_shared<const DispatchTable>(spec))),
-        table_(owned_.get()) {}
+      : owned_(std::make_shared<const DispatchTable>(spec)), table_(owned_.get()) {}
   /// `jit` must outlive every copy; simulators on other threads may share it.
   explicit TableProtocol(JitCompiler& jit) : table_(&jit.table()), jit_(&jit) {}
 

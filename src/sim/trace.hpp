@@ -40,9 +40,10 @@ class Trace {
 
   /// Drive the simulation to `until` parallel time, sampling every `dt`.
   /// Throws if dt·n < 1, where each sample would advance no interaction,
-  /// and for a population under two agents.
+  /// and for a population under two agents, before taking any sample.
   void run(Sim& sim, double until, double dt) {
     POPS_REQUIRE(dt > 0.0, "sampling interval must be positive");
+    detail::next_slice(sim, dt, until);  // for its guards only
     sample(sim);
     for_each_slice(sim, dt, until, [this](const Sim& s) {
       sample(s);

@@ -1,8 +1,9 @@
 // Tests for the dispatch table (sim/dispatch.hpp): cell classification, the
 // pick() residual clamp, the eager build checked cell by cell against a
 // brute-force grouping of the spec (crowded rows and oversize cells
-// included), and per-seed golden trajectories of the batched engine's three
-// samplers on an eagerly compiled spec.
+// included), its rule checks and its width invariance, and per-seed golden
+// trajectories of the batched engine's three samplers on an eagerly
+// compiled spec.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "proto/partition.hpp"
 #include "sim/batched_count_simulation.hpp"
 #include "sim/dispatch.hpp"
+#include "sim/table_protocol.hpp"
 
 namespace pops {
 namespace {
@@ -184,6 +186,90 @@ TEST(DispatchTable, EagerCrowdedRowAndOversizeCellMatchBruteForce) {
   EXPECT_FALSE(table.find(4, 0).present);  // rows without transitions stay empty
 }
 
+/// The message of the std::invalid_argument `build` throws ("" if none).
+template <typename Fn>
+std::string rejection(Fn&& build) {
+  try {
+    build();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DispatchTable, EagerBuildRejectsOverRatePair) {
+  // FiniteSpec.RateValidation's spec: pair (a, b) totals 0.7 + 0.6 > 1.  No
+  // simulator runs a validate() pass; the table build must refuse it on
+  // every construction path.
+  FiniteSpec spec;
+  spec.add("a", "b", "c", "d", 0.7);
+  spec.add("a", "b", "d", "c", 0.6);
+  const std::string want = "transition rates for pair (a, b) exceed 1";
+  EXPECT_NE(rejection([&] { const DispatchTable table(spec); }).find(want), std::string::npos);
+  EXPECT_NE(rejection([&] { const BatchedCountSimulation sim(spec, 1); }).find(want),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { const TableProtocol proto(spec); }).find(want), std::string::npos);
+}
+
+TEST(DispatchTable, EagerBuildNamesLowestOverRateReceiver) {
+  // Over-rate pairs in two shards (and the higher receiver listed first):
+  // at any width the build names the pair a serial row-order build meets
+  // first.
+  FiniteSpec spec;
+  const std::uint32_t n = 40;
+  for (std::uint32_t i = 0; i < n; ++i) spec.state("q" + std::to_string(i));
+  for (std::uint32_t r = 0; r < n; ++r) {
+    for (std::uint32_t s = 0; s < 12; ++s) spec.add(r, s, s, r, 0.75);
+  }
+  spec.add(37, 5, 0, 0, 0.5);
+  spec.add(20, 9, 0, 0, 0.5);
+  spec.add(20, 5, 0, 0, 0.5);
+  for (const unsigned width : {1u, 4u}) {
+    Executor::set_threads(width);
+    const std::string what = rejection([&] { const DispatchTable table(spec); });
+    EXPECT_NE(what.find("transition rates for pair (q20, q5) exceed 1"), std::string::npos)
+        << "width " << width << ": " << what;
+  }
+  Executor::set_threads(0);
+}
+
+/// Eagerly compiled log_size_tiny, built once for the tests below.
+const CompileResult<Bounded<LogSizeEstimation>>& tiny_compiled() {
+  static const auto compiled = [] {
+    const auto proto = log_size_tiny();
+    return ProtocolCompiler<Bounded<LogSizeEstimation>>(proto, proto.geometric_cap()).compile();
+  }();
+  return compiled;
+}
+
+TEST(DispatchTable, EagerBuildIsWidthInvariant) {
+  // At width 4 the shards build on pool threads; every cell must match the
+  // width-1 build, where they run one after another on the caller.
+  const FiniteSpec& spec = tiny_compiled().spec;
+  Executor::set_threads(1);
+  const DispatchTable serial(spec);
+  Executor::set_threads(4);
+  const DispatchTable parallel(spec);
+  Executor::set_threads(0);
+  ASSERT_EQ(parallel.num_cells(), serial.num_cells());
+  ASSERT_EQ(parallel.num_entries(), serial.num_entries());
+  for (std::uint32_t r = 0; r < spec.num_states(); ++r) {
+    for (std::uint32_t s = 0; s < spec.num_states(); ++s) {
+      const Cell a = serial.find(r, s);
+      const Cell b = parallel.find(r, s);
+      ASSERT_EQ(a.present, b.present) << r << "," << s;
+      ASSERT_EQ(a.kind, b.kind) << r << "," << s;
+      ASSERT_EQ(a.clamp, b.clamp) << r << "," << s;
+      ASSERT_EQ(a.end - a.begin, b.end - b.begin) << r << "," << s;
+      for (std::ptrdiff_t i = 0; i < a.end - a.begin; ++i) {
+        ASSERT_EQ(a.begin[i].out_receiver, b.begin[i].out_receiver) << r << "," << s;
+        ASSERT_EQ(a.begin[i].out_sender, b.begin[i].out_sender) << r << "," << s;
+        ASSERT_EQ(a.begin[i].rate, b.begin[i].rate) << r << "," << s;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ golden runs --
 
 /// FNV-1a digest of the configuration vector in id order (eager ids are
@@ -197,15 +283,6 @@ std::uint64_t digest_counts(const std::vector<std::uint64_t>& counts) {
     }
   }
   return digest;
-}
-
-/// Eagerly compiled log_size_tiny, built once for the golden runs.
-const CompileResult<Bounded<LogSizeEstimation>>& tiny_compiled() {
-  static const auto compiled = [] {
-    const auto proto = log_size_tiny();
-    return ProtocolCompiler<Bounded<LogSizeEstimation>>(proto, proto.geometric_cap()).compile();
-  }();
-  return compiled;
 }
 
 /// Put `n` agents in the initial state, then take `checkpoints` runs of

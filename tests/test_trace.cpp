@@ -6,6 +6,7 @@
 
 #include "proto/epidemic.hpp"
 #include "sim/agent_simulation.hpp"
+#include "sim/batched_count_simulation.hpp"
 #include "sim/trace.hpp"
 #include "stats/confidence.hpp"
 
@@ -75,6 +76,18 @@ TEST(Trace, SubInteractionIntervalThrows) {
   trace.observe("frac", infected_fraction);
   EXPECT_THROW(trace.run(sim, 1.0, 0.01), std::invalid_argument);
   EXPECT_EQ(sim.interactions(), 0u);
+}
+
+TEST(Trace, EmptyEngineRecordsNoSample) {
+  // An engine with no agents has time 0/0: the run must refuse before it
+  // records a NaN-time row, not after.
+  BatchedCountSimulation sim(epidemic_spec(), 1);
+  Trace<BatchedCountSimulation> trace;
+  trace.observe("agents", [](const BatchedCountSimulation& s) {
+    return static_cast<double>(s.population_size());
+  });
+  EXPECT_THROW(trace.run(sim, 1.0, 0.5), std::invalid_argument);
+  EXPECT_EQ(trace.samples(), 0u);
 }
 
 TEST(Trace, UnknownObservableThrows) {
