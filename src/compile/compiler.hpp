@@ -36,10 +36,12 @@
 // behaviors.  Keys intern to dense ids in discovery order via the
 // lock-free-lookup `StateInterner`; the id is simultaneously (a) the index
 // into `CompileResult::states` (the typed representative, for evaluating
-// observables on count vectors) and (b) the `FiniteSpec` state id (names
-// registered in the same order — the string label is built once per unique
-// state, for the debug/golden surface only), so no translation table is
-// needed between the typed and the compiled world.
+// observables on count vectors) and (b) the `FiniteSpec` state id: interning
+// a new state registers its `state_label` with the spec in the same order,
+// under the interner's insert mutex, so no translation table is needed
+// between the typed and the compiled world.  The label is built once per
+// unique state, never per path, and a `state_label` that maps two states
+// to one label throws there, naming the label.
 //
 // The interning + branch-enumeration machinery lives in `CompilerCore`,
 // shared by two closure strategies:
@@ -69,6 +71,7 @@
 #include "compile/choice.hpp"
 #include "compile/intern.hpp"
 #include "core/executor.hpp"
+#include "sim/dispatch.hpp"
 #include "sim/finite_spec.hpp"
 #include "sim/require.hpp"
 #include "stats/discrete.hpp"
@@ -112,6 +115,15 @@ void seed_initial_distribution(Sim& sim, std::uint64_t n, Rng& rng,
   POPS_REQUIRE(rem == 0, "initial distribution left agents unassigned");
 }
 
+/// Ids carrying positive initial mass in `distribution` (indexed by id).
+inline std::vector<std::uint32_t> initial_states(const std::vector<double>& distribution) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < distribution.size(); ++i) {
+    if (distribution[i] > 0.0) ids.push_back(i);
+  }
+  return ids;
+}
+
 /// Typed observable on a count vector: total count over states satisfying
 /// `pred` (a predicate on the typed state).  `States` is any id-indexed
 /// container of typed representatives (std::vector or StateInterner).
@@ -128,9 +140,9 @@ std::uint64_t count_matching_states(const States& states,
 }
 
 /// The machinery both compilation modes share: canonical-key interning to
-/// dense ids (mirrored into a FiniteSpec name registry), ChoiceRng branch
-/// enumeration of `initial`, and per-pair branch enumeration of `interact`
-/// with per-output rate merging.
+/// dense ids (each new state's label registered with a FiniteSpec),
+/// ChoiceRng branch enumeration of `initial`, and per-pair branch
+/// enumeration of `interact` with per-output rate merging.
 ///
 /// Concurrency: `intern`/`explore` are safe to call from multiple threads —
 /// the interner takes a mutex only on insertion (lookups are lock-free), and
@@ -141,26 +153,13 @@ std::uint64_t count_matching_states(const States& states,
 template <CompilableProtocol P>
 class CompilerCore {
  public:
-  struct CellEntry {
-    std::uint32_t out_receiver = 0;
-    std::uint32_t out_sender = 0;
-    double rate = 1.0;
-  };
+  using Entry = DispatchTable::Entry;
 
   CompilerCore(P protocol, std::uint32_t geometric_cap, CompileOptions opts)
       : proto_(std::move(protocol)),
         cap_(geometric_cap),
         opts_(opts),
-        interner_(opts.max_states) {
-    // Labels are deferred: interning registers only an id, and the spec
-    // renders the label from the interned typed state on first name()
-    // query — JIT-heavy runs that never print names never pay for them.
-    // Safe to capture `this`: CompilerCore is pinned (the interner's mutex
-    // makes it immovable).  The eager compiler materializes the registry
-    // when it moves the spec out (see ProtocolCompiler::compile).
-    spec_.set_lazy_namer(
-        [this](std::uint32_t id) { return proto_.state_label(interner_[id]); });
-  }
+        interner_(opts.max_states) {}
 
   const P& protocol() const { return proto_; }
   std::uint32_t geometric_cap() const { return cap_; }
@@ -178,19 +177,16 @@ class CompilerCore {
   }
 
   /// Intern a (saturated) state, returning its dense id.  Thread-safe; the
-  /// slow path registers a lazily-named state with the spec under the
-  /// insert mutex, keeping name order == id order — no label is built
-  /// until someone asks for it.
+  /// slow path registers the state's label with the spec under the insert
+  /// mutex, keeping name order == id order.
   std::uint32_t intern(const typename P::State& s) {
     StateKeyBuf key;
     build_state_key(proto_, s, key);
     const std::uint64_t hash = key.hash();
     const std::uint32_t id = interner_.find(key, hash);
     if (id != StateInterner<typename P::State>::kNotFound) return id;
-    return interner_.intern(s, key, hash,
-                            [this](std::uint32_t new_id, const typename P::State&) {
-      const std::uint32_t spec_id = spec_.add_unnamed_state();
-      POPS_REQUIRE(spec_id == new_id, "spec/compiler id order diverged");
+    return interner_.intern(s, key, hash, [this](const typename P::State& st) {
+      spec_.add_state(proto_.state_label(st));
     });
   }
 
@@ -214,7 +210,7 @@ class CompilerCore {
   /// `intern` for the interning modes, a global-probe-else-local-intern
   /// resolver for the parallel closure's workers.
   template <typename Resolve>
-  void explore_into(std::uint32_t r, std::uint32_t s, std::vector<CellEntry>& cell,
+  void explore_into(std::uint32_t r, std::uint32_t s, std::vector<Entry>& cell,
                     Resolve&& resolve) {
     cell.clear();
     std::uint64_t paths = 0;
@@ -233,7 +229,7 @@ class CompilerCore {
           return;
         }
       }
-      cell.push_back(CellEntry{oa, ob, p});
+      cell.push_back(Entry{oa, ob, p});
     });
     pairs_explored_.fetch_add(1, std::memory_order_relaxed);
     paths_explored_.fetch_add(paths, std::memory_order_relaxed);
@@ -242,7 +238,7 @@ class CompilerCore {
 
   /// Interning exploration: outputs intern as they appear (eager sequential
   /// sweep, merge phase, and the JIT's compile_pair).
-  void explore(std::uint32_t r, std::uint32_t s, std::vector<CellEntry>& cell) {
+  void explore(std::uint32_t r, std::uint32_t s, std::vector<Entry>& cell) {
     explore_into(r, s, cell, [this](const typename P::State& st) { return intern(st); });
   }
 
@@ -251,7 +247,7 @@ class CompilerCore {
   std::uint32_t cap_;
   CompileOptions opts_;
   StateInterner<typename P::State> interner_;
-  FiniteSpec spec_;  ///< names interned in id order; transitions only eager
+  FiniteSpec spec_;  ///< labels registered in id order; transitions only eager
   std::atomic<std::uint64_t> pairs_explored_{0};
   std::atomic<std::uint64_t> paths_explored_{0};
 };
@@ -266,15 +262,6 @@ struct CompileResult {
 
   std::uint32_t num_states() const { return spec.num_states(); }
   std::size_t num_transitions() const { return spec.transitions().size(); }
-
-  /// Ids carrying positive initial mass.
-  std::vector<std::uint32_t> initial_states() const {
-    std::vector<std::uint32_t> ids;
-    for (std::uint32_t i = 0; i < initial_distribution.size(); ++i) {
-      if (initial_distribution[i] > 0.0) ids.push_back(i);
-    }
-    return ids;
-  }
 
   /// Seed a count-API simulator with the n-agent initial configuration.
   template <typename Sim>
@@ -298,7 +285,7 @@ struct CompileResult {
 /// spec size — intended for tests on small compiled specs.
 template <CompilableProtocol P>
 bool closure_matches(const CompileResult<P>& result) {
-  const auto init = result.initial_states();
+  const auto init = initial_states(result.initial_distribution);
   ProducibilityClosure closure(result.spec,
                                std::set<std::uint32_t>(init.begin(), init.end()),
                                result.num_states(), 0.0);
@@ -333,7 +320,7 @@ class ProtocolCompiler {
     // pairs whose larger id is u — is identical to the classic interleaved
     // loop `for u < num_states(): for v <= u`, which is what makes the
     // parallel rounds' deterministic merge reproduce its exact id order.
-    std::vector<typename CompilerCore<P>::CellEntry> scratch;
+    std::vector<Entry> scratch;
     std::uint32_t closed = 0;
     while (closed < core_.num_states()) {
       const std::uint32_t known = core_.num_states();
@@ -356,17 +343,11 @@ class ProtocolCompiler {
     out.paths_explored = core_.paths_explored();
     out.states = core_.snapshot_states();
     out.spec = std::move(core_.mutable_spec());
-    // The core's namer renders through the interner, which dies with this
-    // compiler — materialize the registry now (one id-ordered pass, still
-    // off the per-path hot loop) so the CompileResult is self-contained
-    // and its name accessors are pure concurrent-safe reads.  Only the
-    // JIT path (LazyCompiledSpec) keeps labels deferred; it owns its core.
-    out.spec.materialize_names();
     return out;
   }
 
  private:
-  using CellEntry = typename CompilerCore<P>::CellEntry;
+  using Entry = DispatchTable::Entry;
 
   static constexpr std::uint64_t kParallelRoundCutoff = 2048;  ///< pairs
   static constexpr std::uint64_t kPairChunk = 64;              ///< work unit
@@ -395,7 +376,7 @@ class ProtocolCompiler {
     return (k % 2 == 0) ? std::pair{ui, vi} : std::pair{vi, ui};
   }
 
-  void emit(std::uint32_t r, std::uint32_t s, std::vector<CellEntry>& scratch) {
+  void emit(std::uint32_t r, std::uint32_t s, std::vector<Entry>& scratch) {
     core_.explore(r, s, scratch);
     double total = 0.0;
     for (const auto& c : scratch) {
@@ -444,7 +425,7 @@ class ProtocolCompiler {
     };
     struct WorkerOut {
       explicit WorkerOut(std::size_t max_states) : local(max_states) {}
-      std::vector<CellEntry> entries;  ///< concatenated per-pair cells
+      std::vector<Entry> entries;      ///< concatenated per-pair cells
       StateInterner<State> local;      ///< states new to the global interner
     };
 
@@ -457,7 +438,7 @@ class ProtocolCompiler {
 
     auto worker_body = [&](unsigned w) {
       WorkerOut& wo = outs[w];
-      std::vector<CellEntry> cell;
+      std::vector<Entry> cell;
       auto resolve = [&](const State& st) -> std::uint32_t {
         StateKeyBuf key;
         build_state_key(core_.protocol(), st, key);
@@ -469,7 +450,7 @@ class ProtocolCompiler {
           POPS_REQUIRE(core_.num_states() + wo.local.size() < core_.options().max_states,
                        "state-space explosion: raise CompileOptions.max_states or "
                        "lower the field caps");
-          local = wo.local.intern(st, key, hash, [](std::uint32_t, const State&) {});
+          local = wo.local.intern(st, key, hash, [](const State&) {});
         }
         return kProvisional | local;
       };
@@ -520,7 +501,7 @@ class ProtocolCompiler {
       };
       double total = 0.0;
       for (std::uint32_t i = 0; i < pc.len; ++i) {
-        const CellEntry& e = wo.entries[pc.offset + i];
+        const Entry& e = wo.entries[pc.offset + i];
         const std::uint32_t out_receiver = global_id(e.out_receiver);
         const std::uint32_t out_sender = global_id(e.out_sender);
         core_.mutable_spec().add(r, s, out_receiver, out_sender, e.rate);

@@ -145,9 +145,10 @@ class StateInterner {
     return find_in(*table_.load(std::memory_order_acquire), key, hash);
   }
 
-  /// Find-or-insert.  `on_insert(id, state)` runs under the insert mutex for
-  /// states new to the interner — the hook that registers the (lazily built)
-  /// string label with the FiniteSpec name registry, in id order.
+  /// Find-or-insert.  `on_insert(state)` runs under the insert mutex for
+  /// states new to the interner — the hook that registers the string label
+  /// with the FiniteSpec name registry, in id order.  It runs before the
+  /// state is stored, so a hook that throws leaves the interner unchanged.
   template <typename OnInsert>
   std::uint32_t intern(const State& s, const StateKeyBuf& key, std::uint64_t hash,
                        OnInsert&& on_insert) {
@@ -159,6 +160,7 @@ class StateInterner {
     POPS_REQUIRE(id < max_states_,
                  "state-space explosion: raise CompileOptions.max_states or "
                  "lower the field caps");
+    on_insert(s);
     // Grow before appending the new state: the rehash walks states_, so
     // growing after the push would re-insert the new id and leave a
     // duplicate slot behind.
@@ -167,7 +169,6 @@ class StateInterner {
     for (std::uint32_t i = 0; i < key.size(); ++i) key_words_.push(key.data()[i]);
     meta_.push(Meta{hash, off, key.size()});
     states_.push(s);
-    on_insert(id, states_[id]);
     insert_slot(*t, hash, id + 1);
     return id;
   }

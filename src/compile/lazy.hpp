@@ -14,7 +14,8 @@
 //     as in the eager path) and registers them with an empty table;
 //   * when a simulator's dispatch lookup misses, it calls `compile_pair`,
 //     which replays `interact` over every randomized branch (ChoiceRng),
-//     interns any new output states, and registers the resulting cell —
+//     interns any new output states (registering each one's label with
+//     `spec()` as it interns), and registers the resulting cell —
 //     explicitly-null cells included (stored compactly as a row-slot code,
 //     no Cell record), so each pair compiles exactly once;
 //   * the table extends incrementally and the simulator grows its count
@@ -47,9 +48,10 @@
 //     ordered id lists, never id-sorted ranges), so observables evaluated
 //     on typed states — and the interned state/pair *sets* as label sets —
 //     are scheduling-independent (tests/test_jit_concurrency.cpp);
-//   * name-registry queries (`spec().name/id/has_state`) require
-//     quiescence: call them between runs, not concurrently with stepping
-//     simulators that may still compile pairs.
+//   * name-registry queries (`spec().name/id/has_state`) are plain reads
+//     of a registry that interning grows, so they require quiescence: call
+//     them between runs, not concurrently with stepping simulators that
+//     may still compile pairs.
 #pragma once
 
 #include <array>
@@ -87,14 +89,9 @@ class LazyCompiledSpec final : public JitCompiler {
                  "pair explosion: raise CompileOptions.max_pairs or lower the "
                  "field caps");
     core_.explore(receiver, sender, shard.cell);
-    shard.entries.clear();
-    for (const auto& c : shard.cell) {
-      shard.entries.push_back(
-          DispatchTable::Entry{c.out_receiver, c.out_sender, c.rate});
-    }
     table_.grow_states(core_.num_states());  // outputs may be new states
-    table_.set_cell(receiver, sender, shard.entries.data(),
-                    static_cast<std::uint32_t>(shard.entries.size()));
+    table_.set_cell(receiver, sender, shard.cell.data(),
+                    static_cast<std::uint32_t>(shard.cell.size()));
   }
 
   const DispatchTable& table() const override { return table_; }
@@ -110,15 +107,6 @@ class LazyCompiledSpec final : public JitCompiler {
   std::uint64_t paths_explored() const { return core_.paths_explored(); }
   const StateInterner<typename P::State>& states() const { return core_.states(); }
   const std::vector<double>& initial_distribution() const { return initial_distribution_; }
-
-  /// Ids carrying positive initial mass.
-  std::vector<std::uint32_t> initial_states() const {
-    std::vector<std::uint32_t> ids;
-    for (std::uint32_t i = 0; i < initial_distribution_.size(); ++i) {
-      if (initial_distribution_[i] > 0.0) ids.push_back(i);
-    }
-    return ids;
-  }
 
   /// Seed a count-API simulator with the n-agent initial configuration.
   template <typename Sim>
@@ -138,8 +126,7 @@ class LazyCompiledSpec final : public JitCompiler {
   /// Per-shard critical section: mutex + compile scratch it protects.
   struct Shard {
     std::mutex mutex;
-    std::vector<typename CompilerCore<P>::CellEntry> cell;
-    std::vector<DispatchTable::Entry> entries;
+    std::vector<DispatchTable::Entry> cell;
   };
 
   CompilerCore<P> core_;

@@ -91,9 +91,13 @@ namespace pops {
 
 class BatchedCountSimulation {
  public:
-  BatchedCountSimulation(FiniteSpec spec, std::uint64_t seed)
-      : spec_storage_(std::move(spec)), spec_(&spec_storage_), master_seed_(seed) {
-    owned_table_ = std::make_unique<const DispatchTable>(spec_storage_);
+  /// Eager mode: builds the dispatch table from `spec`, which need not
+  /// outlive the simulator; only the state names are kept, for the
+  /// name-keyed `set_count` and `count`.
+  BatchedCountSimulation(const FiniteSpec& spec, std::uint64_t seed)
+      : names_(&own_names_), master_seed_(seed),
+        owned_table_(std::make_unique<const DispatchTable>(spec)) {
+    for (std::uint32_t id = 0; id < spec.num_states(); ++id) own_names_.add_state(spec.name(id));
     table_ = owned_table_.get();
     init_scratch();
   }
@@ -103,11 +107,11 @@ class BatchedCountSimulation {
   /// Multiple simulators on different threads may share one `jit` source —
   /// its table is lock-free to read and compile_pair is sharded.
   BatchedCountSimulation(JitCompiler& jit, std::uint64_t seed)
-      : spec_(&jit.spec()), master_seed_(seed), table_(&jit.table()), jit_(&jit) {
+      : names_(&jit.spec()), master_seed_(seed), table_(&jit.table()), jit_(&jit) {
     init_scratch();
   }
 
-  // spec_ points into own storage in eager mode; copies would dangle.
+  // names_ points into own storage in eager mode; copies would dangle.
   BatchedCountSimulation(const BatchedCountSimulation&) = delete;
   BatchedCountSimulation& operator=(const BatchedCountSimulation&) = delete;
 
@@ -145,7 +149,7 @@ class BatchedCountSimulation {
   /// may change the population size; the next epoch reads the new
   /// configuration.
   void set_count(const std::string& state, std::uint64_t count) {
-    set_count(spec_->id(state), count);
+    set_count(names_->id(state), count);
   }
   void set_count(std::uint32_t state, std::uint64_t count) {
     sync_states();
@@ -160,14 +164,13 @@ class BatchedCountSimulation {
   }
 
   std::uint64_t count(const std::string& state) const {
-    return spec_->has_state(state) ? count(spec_->id(state)) : 0;
+    return names_->has_state(state) ? count(names_->id(state)) : 0;
   }
   std::uint64_t count(std::uint32_t state) const {
     return state < counts_.size() ? counts_[state] : 0;
   }
   std::uint64_t population_size() const { return total_; }
   std::uint64_t interactions() const { return interactions_; }
-  const FiniteSpec& spec() const { return *spec_; }
 
   double time() const { return parallel_time(*this); }
 
@@ -737,8 +740,8 @@ class BatchedCountSimulation {
   /// occupied class.
   static constexpr std::uint64_t kGuideBuckets = 2;
 
-  FiniteSpec spec_storage_;      ///< owned in eager mode; empty in lazy mode
-  const FiniteSpec* spec_;
+  FiniteSpec own_names_;         ///< eager mode: the spec's states, no transitions
+  const FiniteSpec* names_;      ///< own_names_, or the JIT's growing registry
   std::uint64_t master_seed_;    ///< every epoch substream derives from this
   std::uint64_t epoch_index_ = 0;
   std::unique_ptr<const DispatchTable> owned_table_;  ///< eager mode only

@@ -7,6 +7,12 @@
 //   * `BatchedCountSimulation` (exact simulation of the configuration vector), and
 //   * `producibility` (the Λ^m_ρ closure used by Theorem 4.1 / Lemma 4.2).
 //
+// It is plain data.  A state carries its label from the moment it is
+// registered — by name (`state`, `add_state`) or as `#<id>`
+// (`add_unnamed_state`) — and the name index grows with it, so a
+// duplicate label throws where it is registered and every const accessor
+// is a pure read.
+//
 // Its rules are written here once and enforced where a spec is already
 // walked, not by an extra pass:
 //   * per transition — known state ids and a rate in (0, 1]
@@ -22,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -44,77 +49,36 @@ struct Transition {
 
 class FiniteSpec {
  public:
-  /// Builds the label of a lazily-named state on first `name()` query (see
-  /// `add_unnamed_state`).  Must return the same label for the same id for
-  /// the spec's lifetime (the compiler's namers render the interned typed
-  /// state, which never changes).
-  using LazyNamer = std::function<std::string(std::uint32_t)>;
-
   /// Register (or look up) a state by name; returns its dense id.
   std::uint32_t state(const std::string& name) {
-    ensure_names_built();  // a lazy name may equal `name`; dedup needs them all
-    sync_ids();
-    auto [it, inserted] = ids_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
-    if (inserted) {
-      names_.push_back(name);
-      ++ids_synced_;
-    }
+    const auto [it, inserted] = ids_.try_emplace(name, num_states());
+    if (inserted) names_.push_back(name);
     return it->second;
   }
 
-  /// Register a state whose label is deferred: nothing is built until the
-  /// first `name()` (or name-keyed lookup) — the compiler's fast path, so
-  /// JIT-heavy runs that never print names never pay the label snprintf.
-  /// The namer (`set_lazy_namer`) supplies the string on demand and must
-  /// return a non-empty label (the empty string marks "not built yet").
-  std::uint32_t add_unnamed_state() {
-    const auto id = static_cast<std::uint32_t>(names_.size());
-    names_.emplace_back();
-    ++unbuilt_count_;
+  /// Register a new state under `name`, which no other state may carry;
+  /// returns its dense id.  The compiler registers each interned state's
+  /// `state_label` this way, so a label shared by two states throws here.
+  std::uint32_t add_state(std::string name) {
+    const auto id = num_states();
+    const bool fresh = ids_.try_emplace(name, id).second;
+    POPS_REQUIRE(fresh, "duplicate state label: " + name);
+    names_.push_back(std::move(name));
     return id;
   }
 
-  /// Install (or replace) the label builder for lazily-named states.  The
-  /// namer must outlive every deferred name query — `LazyCompiledSpec`
-  /// keeps its compiler core alive for exactly this reason; the eager
-  /// compiler instead calls `materialize_names()` before the spec escapes.
-  void set_lazy_namer(LazyNamer namer) { namer_ = std::move(namer); }
+  /// Register a state for a spec built by id, labelled `#<id>`.
+  std::uint32_t add_unnamed_state() { return add_state("#" + std::to_string(num_states())); }
 
-  /// Materialize every deferred label and the name index, then drop the
-  /// namer: afterwards the registry holds no reference to its producer and
-  /// every const accessor is a pure read again — concurrent name lookups
-  /// on the spec are safe, as they were before lazy registration existed.
-  /// The eager compiler calls this once at emission, so labels are still
-  /// built off the per-path hot loop (one id-ordered pass per compile).
-  void materialize_names() {
-    ensure_names_built();
-    sync_ids();
-    namer_ = nullptr;
-  }
-
-  bool has_state(const std::string& name) const {
-    ensure_names_built();
-    sync_ids();
-    return ids_.count(name) != 0;
-  }
+  bool has_state(const std::string& name) const { return ids_.count(name) != 0; }
 
   std::uint32_t id(const std::string& name) const {
-    ensure_names_built();
-    sync_ids();
     auto it = ids_.find(name);
     POPS_REQUIRE(it != ids_.end(), "unknown state: " + name);
     return it->second;
   }
 
-  /// Name queries on lazily-registered states build (and cache) the label
-  /// on first call.  While deferred labels exist (a live JIT spec), name
-  /// reads require quiescence — no concurrent compilation or lookups
-  /// (compile/lazy.hpp's contract); after `materialize_names()` (every
-  /// eager CompileResult) all name accessors are pure concurrent-safe reads.
-  const std::string& name(std::uint32_t id) const {
-    if (unbuilt_count_ > 0 && names_.at(id).empty()) build_name(id);
-    return names_.at(id);
-  }
+  const std::string& name(std::uint32_t id) const { return names_.at(id); }
 
   std::uint32_t num_states() const { return static_cast<std::uint32_t>(names_.size()); }
 
@@ -188,39 +152,8 @@ class FiniteSpec {
   }
 
  private:
-  void build_name(std::uint32_t id) const {
-    POPS_REQUIRE(namer_ != nullptr, "lazily-named state queried before set_lazy_namer");
-    std::string label = namer_(id);
-    POPS_REQUIRE(!label.empty(), "lazy namer produced an empty label");
-    names_[id] = std::move(label);
-    --unbuilt_count_;
-  }
-
-  /// Materialize every deferred label (name-keyed lookups and by-name
-  /// registration need the full registry to dedup against).
-  void ensure_names_built() const {
-    if (unbuilt_count_ == 0) return;
-    for (std::uint32_t id = 0; id < names_.size() && unbuilt_count_ > 0; ++id) {
-      if (names_[id].empty()) build_name(id);
-    }
-  }
-
-  /// Extend the name -> id index over labels registered since the last
-  /// name-keyed lookup (lazily-named states bypass it on registration).
-  void sync_ids() const {
-    while (ids_synced_ < names_.size()) {
-      const auto id = static_cast<std::uint32_t>(ids_synced_);
-      const auto [it, inserted] = ids_.try_emplace(names_[id], id);
-      POPS_REQUIRE(inserted, "duplicate state label: " + names_[id]);
-      ++ids_synced_;
-    }
-  }
-
-  mutable std::map<std::string, std::uint32_t> ids_;
-  mutable std::vector<std::string> names_;
-  mutable std::size_t ids_synced_ = 0;      ///< names_[0, ids_synced_) are in ids_
-  mutable std::size_t unbuilt_count_ = 0;   ///< lazily-named states not yet built
-  LazyNamer namer_;
+  std::map<std::string, std::uint32_t> ids_;
+  std::vector<std::string> names_;
   std::vector<Transition> transitions_;
 };
 

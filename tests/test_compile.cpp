@@ -110,7 +110,8 @@ TEST(ProtocolCompiler, PartitionRoundTripsOntoHandWrittenSpec) {
   const FiniteSpec hand = partition_spec();
   EXPECT_EQ(state_names(result.spec), state_names(hand));
   EXPECT_EQ(normalized(result.spec), normalized(hand));
-  EXPECT_EQ(result.initial_states(), std::vector<std::uint32_t>{result.spec.id("X")});
+  EXPECT_EQ(initial_states(result.initial_distribution),
+            std::vector<std::uint32_t>{result.spec.id("X")});
   EXPECT_TRUE(closure_matches(result));
 }
 
@@ -270,7 +271,7 @@ TEST(ProtocolCompiler, TinyLogSizeCompilesToExpectedStateCount) {
   EXPECT_EQ(result.num_states(), 256u);
   EXPECT_TRUE(closure_matches(result));
   // Exactly one initial state: every agent starts as the default (X) state.
-  const auto init = result.initial_states();
+  const auto init = initial_states(result.initial_distribution);
   ASSERT_EQ(init.size(), 1u);
   EXPECT_EQ(result.initial_distribution[init[0]], 1.0);
   EXPECT_EQ(result.states[init[0]].role, Role::X);

@@ -289,7 +289,7 @@ std::uint64_t digest_counts(const std::vector<std::uint64_t>& counts) {
 /// `steps` interactions, folding the configuration digest after each.
 std::uint64_t run_digest(BatchedCountSimulation& sim, std::uint64_t n, std::uint64_t steps,
                          int checkpoints) {
-  const auto init = tiny_compiled().initial_states();
+  const auto init = initial_states(tiny_compiled().initial_distribution);
   EXPECT_EQ(init.size(), 1u);
   sim.set_count(init[0], n);
   std::uint64_t digest = 0;

@@ -60,10 +60,10 @@ class JitConcurrency : public ::testing::Test {
 bool worker_observable(const LS::State& s) { return s.role == Role::A; }
 
 /// Interned states as a label set (ids vary with scheduling; labels must
-/// not).  Also asserts label injectivity: with lazy registration the JIT
-/// never runs the registry's duplicate check itself (eager compiles do,
-/// at materialize_names), so a state_label() collapsing distinct typed
-/// states must be caught here rather than dedup'd away by the std::set.
+/// not).  Also asserts label injectivity: interning already registers each
+/// label with the spec, which throws on a duplicate, and this re-checks it
+/// on the set the assertions compare, so a collapse could never be
+/// dedup'd away by the std::set unnoticed.
 std::set<std::string> interned_labels(const LazyCompiledSpec<BLS>& lazy) {
   std::set<std::string> labels;
   for (std::uint32_t id = 0; id < lazy.num_states(); ++id) {

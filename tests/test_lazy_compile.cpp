@@ -6,6 +6,7 @@
 // mode (tests/test_batched_count_simulation.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -144,8 +145,8 @@ TEST(LazyCompiledSpec, InitialDistributionMatchesEager) {
           .compile();
   // Both enumerate the same initial choice tree in the same order, so the
   // initial ids and masses agree exactly.
-  const auto lazy_init = lazy.initial_states();
-  const auto eager_init = eager.initial_states();
+  const auto lazy_init = initial_states(lazy.initial_distribution());
+  const auto eager_init = initial_states(eager.initial_distribution);
   ASSERT_EQ(lazy_init.size(), eager_init.size());
   for (std::size_t i = 0; i < lazy_init.size(); ++i) {
     EXPECT_EQ(lazy.spec().name(lazy_init[i]), eager.spec.name(eager_init[i]));
@@ -172,6 +173,52 @@ TEST(LazyCompiledSpec, PairGuardThrows) {
     lazy.seed_initial(sim, 1000, seeder);
     EXPECT_THROW(sim.advance_time(10.0), std::invalid_argument);
   }
+}
+
+/// A keyed protocol whose label collapses two keyed states: v counts the
+/// receiver's interactions up to 2, but states 1 and 2 are both "pos".
+struct CollapsingLabels {
+  struct State {
+    std::uint32_t v = 0;
+  };
+
+  template <typename R>
+  State initial(R&) const {
+    return State{};
+  }
+
+  template <typename R>
+  void interact(State& receiver, State&, R&) const {
+    receiver.v = std::min<std::uint32_t>(receiver.v + 1, 2);
+  }
+
+  void state_key(const State& s, StateKeyBuf& key) const { key.push(s.v); }
+  std::string state_label(const State& s) const { return s.v == 0 ? "zero" : "pos"; }
+};
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LazyCompiledSpec, NonInjectiveLabelThrowsNamingIt) {
+  const std::string want = "duplicate state label: pos";
+  LazyCompiledSpec<CollapsingLabels> lazy(CollapsingLabels{}, 1);
+  lazy.compile_pair(0, 0);  // interns v = 1 as "pos"
+  ASSERT_EQ(lazy.num_states(), 2u);
+  // v = 2 is a new key with a taken label.
+  EXPECT_NE(rejection([&] { lazy.compile_pair(1, 0); }).find(want), std::string::npos);
+  EXPECT_EQ(lazy.num_states(), 2u);  // the failed intern left no state behind
+  EXPECT_NE(rejection([] {
+              ProtocolCompiler<CollapsingLabels>(CollapsingLabels{}, 1).compile(1);
+            }).find(want),
+            std::string::npos);
 }
 
 }  // namespace
